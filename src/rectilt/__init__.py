@@ -5,7 +5,11 @@ triangular vertex split, all over exact rational arithmetic, with every
 mathematical claim backed by a recomputable certificate.
 """
 
-from .linalg import BACKEND, Mat
+from .linalg import Mat
+
+# The one elimination kernel is pure Python (``_rowred_py``); benchmark
+# records carry this name.
+BACKEND = "python"
 
 __version__ = "0.1.0"
 

@@ -1,14 +1,10 @@
-"""Pure-Python integer Gauss-Jordan elimination.
+"""Integer Gauss-Jordan elimination: the one kernel under ``linalg``.
 
-Twin of the compiled core in ``_rowred_c.pyx``: identical algorithm,
-identical output, implemented with plain Python lists.  Rows hold
-arbitrary-precision integers; after each update a row is divided by the
-gcd of its entries to keep coefficient growth in check.
+Rows hold arbitrary-precision integers; after each update a row is
+divided by the gcd of its entries to keep coefficient growth in check.
 """
 
 from math import gcd
-
-BACKEND = "python"
 
 
 def reduce_rows(rows, ncols):

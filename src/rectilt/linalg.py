@@ -5,28 +5,24 @@ out in the four operations here: :func:`rref`, :func:`kernel_basis`,
 :func:`solve` and :func:`quotient`.  Entries are ``fractions.Fraction``
 values, so every result is exact; there are no tolerances anywhere.
 
-The elimination kernel itself runs on integer rows (each rational row is
-scaled by the lcm of its denominators, which changes neither row space
-nor solution set).  Two interchangeable backends provide it: a compiled
-Cython core and a pure-Python twin.  The compiled one is preferred at
-import time; set ``RECTILT_PURE=1`` to force the fallback.
+One integer kernel, ``_rowred_py.reduce_rows``, does every elimination:
+each rational row is scaled to integers by the lcm of its denominators,
+which changes neither row space nor solution set.  ``Fraction`` objects
+are built only at the edge.  The public ``Mat`` constructor coerces and
+checks what callers pass in; elimination results are rebuilt once, one
+``Fraction(n, pivot)`` per nonzero entry; and every matrix this module
+assembles from matrices it already holds goes through the trusted
+``Mat._trusted``, which neither coerces nor checks.
 """
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 
-if os.environ.get("RECTILT_PURE"):
-    from . import _rowred_py as _rowred
-else:
-    try:
-        from . import _rowred_c as _rowred  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _rowred_py as _rowred
-
-BACKEND = _rowred.BACKEND
+from . import _rowred_py as _rowred
+from .errors import RectiltError
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -55,7 +51,8 @@ class Mat:
     def __init__(self, rows: int, cols: int, entries):
         if rows < 0 or cols < 0:
             raise ValueError("negative matrix dimensions")
-        entries = tuple(tuple(Fraction(x) for x in row) for row in entries)
+        entries = tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in row)
+                        for row in entries)
         if len(entries) != rows or any(len(r) != cols for r in entries):
             raise ValueError(f"entry grid does not match shape {rows}x{cols}")
         self.rows = rows
@@ -63,6 +60,19 @@ class Mat:
         self.entries = entries
 
     # -- constructors ------------------------------------------------
+
+    @classmethod
+    def _trusted(cls, rows: int, cols: int, entries: tuple) -> "Mat":
+        """A matrix over ``entries`` as given: no coercion, no shape check.
+
+        Only for grids built inside this module, which are already a
+        ``rows``-tuple of ``cols``-tuples of ``Fraction``.
+        """
+        m = object.__new__(cls)
+        m.rows = rows
+        m.cols = cols
+        m.entries = entries
+        return m
 
     @classmethod
     def from_rows(cls, entries) -> "Mat":
@@ -73,11 +83,15 @@ class Mat:
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Mat":
-        return cls(rows, cols, [[_ZERO] * cols for _ in range(rows)])
+        if rows < 0 or cols < 0:
+            raise ValueError("negative matrix dimensions")
+        return cls._trusted(rows, cols, ((_ZERO,) * cols,) * rows)
 
     @classmethod
     def identity(cls, n: int) -> "Mat":
-        return cls(n, n, [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)])
+        if n < 0:
+            raise ValueError("negative matrix dimensions")
+        return cls._trusted(n, n, tuple(_unit_row(n, i) for i in range(n)))
 
     @classmethod
     def column(cls, values) -> "Mat":
@@ -106,7 +120,7 @@ class Mat:
         return self.entries[i][j]
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.entries for x in row)
+        return not any(x for row in self.entries for x in row)
 
     def row(self, i) -> list:
         return list(self.entries[i])
@@ -118,44 +132,43 @@ class Mat:
 
     def __add__(self, other: "Mat") -> "Mat":
         self._same_shape(other)
-        return Mat(self.rows, self.cols,
-                   [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)])
+        return Mat._trusted(self.rows, self.cols, tuple(
+            tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.entries, other.entries)))
 
     def __sub__(self, other: "Mat") -> "Mat":
         self._same_shape(other)
-        return Mat(self.rows, self.cols,
-                   [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)])
+        return Mat._trusted(self.rows, self.cols, tuple(
+            tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(self.entries, other.entries)))
 
     def __neg__(self) -> "Mat":
-        return Mat(self.rows, self.cols, [[-a for a in row] for row in self.entries])
+        return Mat._trusted(self.rows, self.cols,
+                            tuple(tuple(-a for a in row) for row in self.entries))
 
     def scale(self, c) -> "Mat":
         c = Fraction(c)
-        return Mat(self.rows, self.cols, [[c * a for a in row] for row in self.entries])
+        return Mat._trusted(self.rows, self.cols,
+                            tuple(tuple(c * a for a in row) for row in self.entries))
 
     def __matmul__(self, other: "Mat") -> "Mat":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         ocols = other.cols
         out = []
-        for i in range(self.rows):
-            srow = self.entries[i]
+        for srow in self.entries:
             orow = [_ZERO] * ocols
-            for k in range(self.cols):
-                a = srow[k]
+            for a, trow in zip(srow, other.entries):
                 if a == 0:
                     continue
-                trow = other.entries[k]
                 for j in range(ocols):
                     b = trow[j]
                     if b != 0:
                         orow[j] += a * b
-            out.append(orow)
-        return Mat(self.rows, ocols, out)
+            out.append(tuple(orow))
+        return Mat._trusted(self.rows, ocols, tuple(out))
 
     def transpose(self) -> "Mat":
-        return Mat(self.cols, self.rows,
-                   [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)])
+        entries = tuple(zip(*self.entries)) if self.rows else ((),) * self.cols
+        return Mat._trusted(self.cols, self.rows, entries)
 
     def _same_shape(self, other: "Mat"):
         if self.rows != other.rows or self.cols != other.cols:
@@ -173,8 +186,9 @@ class Mat:
         rows = mats[0].rows
         if any(m.rows != rows for m in mats):
             raise ValueError("hstack row mismatch")
-        entries = [[x for m in mats for x in m.entries[i]] for i in range(rows)]
-        return Mat(rows, sum(m.cols for m in mats), entries)
+        entries = tuple(tuple(chain.from_iterable(m.entries[i] for m in mats))
+                        for i in range(rows))
+        return Mat._trusted(rows, sum(m.cols for m in mats), entries)
 
     @staticmethod
     def vstack(mats, cols: int | None = None) -> "Mat":
@@ -186,30 +200,27 @@ class Mat:
         cols = mats[0].cols
         if any(m.cols != cols for m in mats):
             raise ValueError("vstack column mismatch")
-        entries = [row for m in mats for row in m.entries]
-        return Mat(sum(m.rows for m in mats), cols, entries)
+        entries = tuple(row for m in mats for row in m.entries)
+        return Mat._trusted(len(entries), cols, entries)
 
     @staticmethod
     def block_diag(mats) -> "Mat":
         mats = list(mats)
-        rows = sum(m.rows for m in mats)
         cols = sum(m.cols for m in mats)
-        out = [[_ZERO] * cols for _ in range(rows)]
-        r0 = c0 = 0
+        out = []
+        c0 = 0
         for m in mats:
-            for i in range(m.rows):
-                row = out[r0 + i]
-                ment = m.entries[i]
-                for j in range(m.cols):
-                    row[c0 + j] = ment[j]
-            r0 += m.rows
+            left = (_ZERO,) * c0
+            right = (_ZERO,) * (cols - c0 - m.cols)
+            out.extend(left + row + right for row in m.entries)
             c0 += m.cols
-        return Mat(rows, cols, out)
+        return Mat._trusted(len(out), cols, tuple(out))
 
     def submatrix(self, row_range, col_range) -> "Mat":
         rr = list(row_range)
         cc = list(col_range)
-        return Mat(len(rr), len(cc), [[self.entries[i][j] for j in cc] for i in rr])
+        return Mat._trusted(len(rr), len(cc),
+                            tuple(tuple(self.entries[i][j] for j in cc) for i in rr))
 
     # -- serialization -----------------------------------------------
 
@@ -234,35 +245,45 @@ class Mat:
         return cls(r, c, entries)
 
 
+def _unit_row(n: int, i: int) -> tuple:
+    return (_ZERO,) * i + (_ONE,) + (_ZERO,) * (n - i - 1)
+
+
 # -- elimination-backed operations ------------------------------------
 
 
-def _to_int_rows(mat: Mat, extra: Mat | None = None):
-    """Scale each (possibly augmented) row to integers."""
+def _to_int_rows(mat: Mat, extra: Mat | None = None) -> list[list[int]]:
+    """Scale each (possibly augmented) row to integers by its denominators' lcm."""
+    rows = mat.entries if extra is None else map(tuple.__add__, mat.entries, extra.entries)
     out = []
-    for i in range(mat.rows):
-        row = list(mat.entries[i]) + (list(extra.entries[i]) if extra is not None else [])
-        mult = lcm(*(x.denominator for x in row)) if row else 1
-        out.append([int(x * mult) for x in row])
+    for row in rows:
+        mult = lcm(*[x.denominator for x in row])
+        if mult == 1:
+            out.append([x.numerator for x in row])
+        else:
+            out.append([x.numerator * (mult // x.denominator) for x in row])
     return out
+
+
+def _over(ints, p: int) -> tuple:
+    """The rational row ``ints / p``, sharing ``_ZERO`` for zero entries."""
+    if p == 1:
+        return tuple(Fraction(n) if n else _ZERO for n in ints)
+    return tuple(Fraction(n, p) if n else _ZERO for n in ints)
 
 
 def rref(mat: Mat) -> tuple[Mat, list[int]]:
     """Reduced row echelon form and its pivot columns.
 
-    The RREF of a matrix is unique, so the output is independent of the
-    backend; pivots are strictly increasing.
+    The RREF of a matrix is unique, so the output does not depend on how
+    the kernel scales its integer rows; pivots are strictly increasing.
     """
     if mat.rows == 0 or mat.cols == 0:
         return Mat.zeros(mat.rows, mat.cols), []
     reduced, pivots = _rowred.reduce_rows(_to_int_rows(mat), mat.cols)
-    out = []
-    for row, c in zip(reduced, pivots):
-        p = Fraction(row[c])
-        out.append([Fraction(x) / p for x in row])
-    for _ in range(mat.rows - len(out)):
-        out.append([_ZERO] * mat.cols)
-    return Mat(mat.rows, mat.cols, out), pivots
+    out = [_over(row, row[c]) for row, c in zip(reduced, pivots)]
+    out.extend([(_ZERO,) * mat.cols] * (mat.rows - len(out)))
+    return Mat._trusted(mat.rows, mat.cols, tuple(out)), pivots
 
 
 def rank(mat: Mat) -> int:
@@ -279,14 +300,12 @@ def kernel_basis(mat: Mat) -> Mat:
     r, pivots = rref(mat)
     pivot_set = set(pivots)
     free = [j for j in range(mat.cols) if j not in pivot_set]
-    cols = []
-    for j in free:
-        v = [_ZERO] * mat.cols
-        v[j] = _ONE
-        for i, c in enumerate(pivots):
-            v[c] = -r.entries[i][j]
-        cols.append(v)
-    return Mat(mat.cols, len(cols), [[col[i] for col in cols] for i in range(mat.cols)])
+    out = [None] * mat.cols
+    for k, j in enumerate(free):
+        out[j] = _unit_row(len(free), k)
+    for row, c in zip(r.entries, pivots):
+        out[c] = tuple(-row[j] if row[j] else _ZERO for j in free)
+    return Mat._trusted(mat.cols, len(free), tuple(out))
 
 
 def solve(mat: Mat, rhs: Mat) -> Mat | None:
@@ -300,22 +319,20 @@ def solve(mat: Mat, rhs: Mat) -> Mat | None:
         return Mat.zeros(0, rhs.cols) if rhs.is_zero() else None
     if mat.rows == 0:
         return Mat.zeros(mat.cols, rhs.cols)
-    reduced, pivots = _rowred.reduce_rows(_to_int_rows(mat, rhs), mat.cols + rhs.cols)
-    if pivots and pivots[-1] >= mat.cols:
+    n = mat.cols
+    reduced, pivots = _rowred.reduce_rows(_to_int_rows(mat, rhs), n + rhs.cols)
+    if pivots and pivots[-1] >= n:
         return None
-    out = [[_ZERO] * rhs.cols for _ in range(mat.cols)]
+    out = [(_ZERO,) * rhs.cols] * n
     for row, c in zip(reduced, pivots):
-        p = Fraction(row[c])
-        for j in range(rhs.cols):
-            out[c][j] = Fraction(row[mat.cols + j]) / p
-    return Mat(mat.cols, rhs.cols, out)
+        out[c] = _over(row[n:], row[c])
+    return Mat._trusted(n, rhs.cols, tuple(out))
 
 
 def col_basis(mat: Mat) -> Mat:
     """Canonical basis of the column space (RREF rows transposed)."""
     r, pivots = rref(mat.transpose())
-    cols = [r.row(i) for i in range(len(pivots))]
-    return Mat(mat.rows, len(cols), [[col[i] for col in cols] for i in range(mat.rows)])
+    return Mat._trusted(len(pivots), mat.rows, r.entries[:len(pivots)]).transpose()
 
 
 def quotient(ambient_dim: int, subspace: Mat) -> tuple[int, Mat]:
@@ -329,17 +346,16 @@ def quotient(ambient_dim: int, subspace: Mat) -> tuple[int, Mat]:
         raise ValueError("subspace columns live in the wrong ambient dimension")
     r, pivots = rref(subspace.transpose())
     rk = len(pivots)
-    dim = ambient_dim - rk
-    basis_cols = [r.row(i) for i in range(rk)]
-    complement = [j for j in range(ambient_dim) if j not in set(pivots)]
-    change = Mat(ambient_dim, ambient_dim,
-                 [[(basis_cols[k][i] if k < rk else (_ONE if complement[k - rk] == i else _ZERO))
-                   for k in range(ambient_dim)]
-                  for i in range(ambient_dim)])
+    pivot_set = set(pivots)
+    # columns: the span's RREF basis, then the unit vectors it leaves out
+    change = Mat._trusted(ambient_dim, ambient_dim, r.entries[:rk] + tuple(
+        _unit_row(ambient_dim, j) for j in range(ambient_dim) if j not in pivot_set)
+    ).transpose()
     inv = solve(change, Mat.identity(ambient_dim))
-    assert inv is not None, "change of basis must be invertible"
+    if inv is None:
+        raise RectiltError("quotient: change of basis is not invertible")
     proj = inv.submatrix(range(rk, ambient_dim), range(ambient_dim))
-    return dim, proj
+    return ambient_dim - rk, proj
 
 
 def intersect_columns(a: Mat, b: Mat) -> Mat:

@@ -20,7 +20,7 @@ from fractions import Fraction
 import sympy
 
 from .algebra import BoundQuiverAlgebra, Path
-from .errors import PossibleDivisionAlgebra
+from .errors import PossibleDivisionAlgebra, RectiltError
 from .linalg import Mat, col_basis, kernel_basis, quotient, rank, rref, solve
 
 
@@ -487,12 +487,14 @@ class _EndRing:
                 prods.append(flatten_morphism(f.compose(g)))
         rhs = Mat(n, len(prods), [[prods[j][i] for j in range(len(prods))] for i in range(n)])
         coords = solve(self.bmat, rhs)
-        assert coords is not None, "End(M) must be closed under composition"
+        if coords is None:
+            raise RectiltError("End(M) is not closed under composition")
         d = self.dim
         self.table = [[[coords[k, i * d + j] for k in range(d)] for j in range(d)]
                       for i in range(d)]
         ident = solve(self.bmat, Mat.column(flatten_morphism(identity_morphism(m))))
-        assert ident is not None
+        if ident is None:
+            raise RectiltError("the identity is not in the span of the End(M) basis")
         self.one = [ident[k, 0] for k in range(d)]
 
     def multiply(self, x, y):
@@ -550,7 +552,8 @@ class _Semisimple:
 
     def project(self, coords):
         sol = solve(self.change, Mat.column(coords))
-        assert sol is not None
+        if sol is None:
+            raise RectiltError("End/rad change of basis is not invertible")
         return [sol[self.rad_dim + k, 0] for k in range(self.dim)]
 
     def lift(self, s_coords):

@@ -1,11 +1,13 @@
-"""Elimination kernels: frozen examples, invariants, backend parity."""
+"""Exact linear algebra: frozen examples, invariants, a naive reference."""
 
 import random
 from fractions import Fraction
 
+import pytest
+
 from rectilt import linalg
+from rectilt.errors import RectiltError
 from rectilt.linalg import Mat, col_basis, kernel_basis, quotient, rank, rref, solve
-from rectilt import _rowred_py
 
 
 def M(rows):
@@ -172,16 +174,129 @@ def test_empty_shapes_are_legal():
     r, pivots = rref(z)
     assert (r.rows, r.cols) == (0, 3) and pivots == []
     assert kernel_basis(z).cols == 3
-    assert solve(Mat.zeros(3, 0), Mat.zeros(3, 2)) is None or True  # 3x0 inconsistent only if rhs nonzero
+    # with no unknowns, only a zero right-hand side is consistent
+    assert solve(Mat.zeros(3, 0), M([[1, 0], [0, 0], [0, 0]])) is None
     assert solve(Mat.zeros(3, 0), Mat.zeros(3, 2)) == Mat.zeros(0, 2)
 
 
-def test_backend_parity_with_pure_python():
+def test_quotient_raises_when_change_of_basis_is_singular(monkeypatch):
+    # the check must be an error, not an assert that ``python -O`` strips
+    monkeypatch.setattr(linalg, "solve", lambda mat, rhs: None)
+    with pytest.raises(RectiltError):
+        quotient(2, M([[1], [0]]))
+
+
+# -- constructors --------------------------------------------------------
+
+def _assert_fraction_grid(m):
+    assert type(m.entries) is tuple and len(m.entries) == m.rows
+    assert all(type(row) is tuple and len(row) == m.cols for row in m.entries)
+    assert all(type(x) is Fraction for row in m.entries for x in row)
+
+
+def test_trusted_results_match_the_public_constructor():
+    a = M([[1, 2], [3, 4]])
+    b = Mat(2, 2, [["1/2", 0], [0, -1]])
+    prod = a @ b
+    want = Mat.from_rows([[Fraction(1, 2), -2], [Fraction(3, 2), -4]])
+    assert prod == want and hash(prod) == hash(want)
+    results = [
+        prod, a + b, a - b, -a, a.scale("2/3"), a.transpose(), Mat.zeros(0, 2).transpose(),
+        Mat.hstack([a, b]), Mat.vstack([a, b]), Mat.block_diag([a, Mat.zeros(1, 0), b]),
+        a.submatrix([1], [1, 0]), Mat.identity(3), Mat.zeros(2, 3),
+        rref(a)[0], solve(a, b), kernel_basis(M([[1, 2, 3]])), col_basis(a),
+        quotient(2, M([[1], [1]]))[1],
+    ]
+    for m in results:
+        _assert_fraction_grid(m)
+        public = Mat(m.rows, m.cols, [list(row) for row in m.entries])
+        assert m == public and hash(m) == hash(public)
+
+
+def test_public_constructor_coerces_and_checks_shape():
+    m = Mat(2, 2, [[1, "2/3"], [Fraction(-5), "7"]])
+    _assert_fraction_grid(m)
+    assert m.entries == ((1, Fraction(2, 3)), (-5, 7))
+    with pytest.raises(ValueError):
+        Mat(2, 2, [[1, 2], [3]])
+    with pytest.raises(ValueError):
+        Mat(2, 2, [[1, 2]])
+    with pytest.raises(ValueError):
+        Mat(-1, 0, [])
+    with pytest.raises(ValueError):
+        Mat.zeros(2, -1)
+    with pytest.raises(ValueError):
+        Mat.identity(-1)
+
+
+# -- differential test against textbook Fraction elimination ---------------
+
+def _naive_rref(rows, ncols):
+    """Gauss-Jordan on lists of Fractions: divide by the pivot, clear the column."""
+    a = [list(r) for r in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        p = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
+        if p is None:
+            continue
+        a[r], a[p] = a[p], a[r]
+        a[r] = [x / a[r][c] for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+    return a, pivots
+
+
+def _naive_solve(m, rhs):
+    n = m.cols
+    red, pivots = _naive_rref([m.row(i) + rhs.row(i) for i in range(m.rows)], n + rhs.cols)
+    if pivots and pivots[-1] >= n:
+        return None
+    x = [[Fraction(0)] * rhs.cols for _ in range(n)]
+    for i, c in enumerate(pivots):
+        x[c] = red[i][n:]
+    return Mat(n, rhs.cols, x)
+
+
+def _naive_kernel(m):
+    red, pivots = _naive_rref([m.row(i) for i in range(m.rows)], m.cols)
+    free = [j for j in range(m.cols) if j not in pivots]
+    cols = []
+    for j in free:
+        v = [Fraction(0)] * m.cols
+        v[j] = Fraction(1)
+        for i, c in enumerate(pivots):
+            v[c] = -red[i][j]
+        cols.append(v)
+    return Mat(m.cols, len(free), [[v[i] for v in cols] for i in range(m.cols)])
+
+
+def _sparse_random_mat(rng, rows, cols):
+    """``_random_mat`` with some rows and columns forced to zero."""
+    m = _random_mat(rng, rows, cols)
+    dead_rows = {i for i in range(rows) if rng.random() < 0.2}
+    dead_cols = {j for j in range(cols) if rng.random() < 0.2}
+    return Mat(rows, cols, [[0 if i in dead_rows or j in dead_cols else m[i, j]
+                             for j in range(cols)] for i in range(rows)])
+
+
+def test_matches_naive_fraction_gauss_jordan():
     rng = random.Random(5)
-    for _ in range(20):
-        rows = rng.randint(1, 6)
-        cols = rng.randint(1, 6)
-        ints = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
-        got = linalg._rowred.reduce_rows([r[:] for r in ints], cols)
-        want = _rowred_py.reduce_rows([r[:] for r in ints], cols)
-        assert got == want
+    inconsistent = 0
+    for trial in range(150):
+        rows, cols = rng.randint(0, 6), rng.randint(0, 6)
+        m = _sparse_random_mat(rng, rows, cols)
+        if trial % 2:
+            # rank at most one, so most right-hand sides are out of reach
+            m = _sparse_random_mat(rng, rows, 1) @ _sparse_random_mat(rng, 1, cols)
+        rhs = _sparse_random_mat(rng, rows, rng.randint(0, 3))
+        red, pivots = _naive_rref([m.row(i) for i in range(rows)], cols)
+        assert rref(m) == (Mat(rows, cols, red), pivots)
+        assert kernel_basis(m) == _naive_kernel(m)
+        want = _naive_solve(m, rhs)
+        assert solve(m, rhs) == want
+        inconsistent += want is None
+    assert inconsistent >= 20

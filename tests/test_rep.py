@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from rectilt import rep as rep_module
+from rectilt.errors import RectiltError
 from rectilt.linalg import Mat, rank, solve
 from rectilt.rep import (
     SES,
@@ -216,6 +218,25 @@ def test_decompose_seed_stability(inner, outer):
         assert [(p.dim_vector(), k) for p, k in d0] == [(p.dim_vector(), k) for p, k in d1]
         for (p0, _), (p1, _) in zip(d0, d1):
             assert is_isomorphic(p0, p1)[0]
+
+
+@pytest.mark.parametrize("failing_call, message", [
+    (1, "not closed under composition"),
+    (2, "identity is not in the span"),
+    (3, "change of basis is not invertible"),
+])
+def test_decompose_checks_are_errors_not_asserts(inner, monkeypatch, failing_call, message):
+    # the End(M) checks must still fire under ``python -O``
+    calls = []
+
+    def failing_solve(mat, rhs):
+        calls.append(None)
+        return None if len(calls) == failing_call else solve(mat, rhs)
+
+    monkeypatch.setattr(rep_module, "solve", failing_solve)
+    m = direct_sum(inner, [projective(inner, "1"), projective(inner, "1")])
+    with pytest.raises(RectiltError, match=message):
+        decompose(m, 0)
 
 
 # -- isomorphism --------------------------------------------------------------
