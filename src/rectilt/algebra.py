@@ -163,6 +163,10 @@ class BoundQuiverAlgebra:
     def trivial_index(self, v: str) -> int:
         return self._index[(v, ())]
 
+    def arrow_index(self, name: str) -> int:
+        """Basis index of an arrow; relations have length >= 2, so it survives."""
+        return self._index[(self.quiver.arrow(name).source, (name,))]
+
     def paths_from(self, v: str) -> list[int]:
         return [i for i, p in enumerate(self.basis) if p.source == v]
 

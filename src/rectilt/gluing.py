@@ -69,7 +69,7 @@ def glued_membership(spec: GluedPairSpec, m: Representation) -> str:
     return "free" if free else "neither"
 
 
-def glued_pair_is_tilting(spec: GluedPairSpec, roster: Roster | None = None) -> bool:
+def glued_pair_is_tilting(spec: GluedPairSpec) -> bool:
     """The glued pair is tilting iff every indecomposable injective is torsion."""
     alg = spec.ctx.algebra
     return all(glued_membership(spec, injective(alg, v)) == "torsion"
@@ -220,7 +220,7 @@ def check_restriction_hypotheses(ctx: RecollementContext, t: Representation,
     for name, cls in (("free", flist), ("torsion", tlist)):
         for m in cls:
             back = j_star_lower(ctx, j_star_upper(ctx, m))
-            if not in_add_of(back, cls, seed):
+            if not in_add_of(back, cls):
                 report[f"{name}_closed"] = False
                 report[f"{name}_witness"] = back.to_json()["dims"]
                 break

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import BoundQuiverAlgebra, Path
-from .errors import CapExceeded
+from .errors import CapExceeded, RectiltError
 from .linalg import Mat, quotient, rank, solve
 from .rep import (
     Morphism,
@@ -293,7 +293,14 @@ def ext_k(m: Representation, n: Representation, k: int, cap: int | None = None) 
 
 
 def tensor_dim_data(nright: Representation, x: Representation):
-    """Quotient data for N (x)_A X with N a representation of A^op."""
+    """Quotient data for N (x)_A X with N a representation of A^op.
+
+    Returns ``(dim, proj, offsets, total)``: the raw space is the sum over
+    vertices w of N_w (x) X_w, with n_r (x) x_q at ``offsets[w] + r * dim X_w
+    + q``, and ``proj`` maps it onto the balanced quotient.  Tor uses it
+    with N a right module; the recollement's j_! uses it with the factors
+    swapped, Y (x) e_vN over the opposite of the outer algebra.
+    """
     alg = x.algebra
     if nright.algebra is not alg.opposite():
         raise ValueError("left factor must be a representation of the opposite algebra")
@@ -346,7 +353,8 @@ def tensor_map(nright: Representation, f: Morphism):
     bigmat = Mat(tot_tgt, tot_src, big)
     rhs = (ptgt @ bigmat).transpose()
     sol = solve(psrc.transpose(), rhs)
-    assert sol is not None, "tensor of a morphism must descend to the quotients"
+    if sol is None:
+        raise RectiltError("tensor of a morphism does not descend to the quotients")
     return dsrc, dtgt, sol.transpose()
 
 

@@ -2,9 +2,12 @@
 
 A split of the vertices into an inner part V' and an outer part V'' is
 triangular when no path class runs from V' to V''.  The inner and outer
-algebras are the full subquivers with their induced relations; the
-bimodule tying them together is never materialised separately, it is
-read off the glued algebra's crossing path classes.
+algebras are the full subquivers with their induced relations.  The
+crossing path classes, from V'' to V', span the bimodule N that ties them
+together.  j_! is computed one inner vertex v at a time: e_vN, the
+crossing classes ending at v, is a right outer-algebra module, and
+(N (x) Y)_v is ``tensor_dim_data(Y, e_vN)``, the balanced tensor quotient
+that Tor uses too.
 
 Functor dictionary (modules as triples (X, Y)_f):
 
@@ -18,13 +21,13 @@ Functor dictionary (modules as triples (X, Y)_f):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import BoundQuiverAlgebra, Quiver, Relation, build_algebra
-from .errors import NotTriangular
-from .homology import tor1_right
-from .linalg import Mat, col_basis, quotient, solve
+from .algebra import BoundQuiverAlgebra, Quiver, build_algebra
+from .errors import NotTriangular, RectiltError
+from .homology import tensor_dim_data, tensor_map, tor1_right
+from .linalg import Mat, col_basis, solve
 from .rep import (
     Morphism,
     Representation,
@@ -44,7 +47,6 @@ class RecollementContext:
     inner_algebra: BoundQuiverAlgebra
     outer_algebra: BoundQuiverAlgebra
     crossing_paths: list            # basis indices of V'' -> V' path classes
-    _tensor_cache: dict = field(default_factory=dict, repr=False)
 
     def is_inner(self, v) -> bool:
         return v in self._inner_set
@@ -85,8 +87,8 @@ def split_context(algebra: BoundQuiverAlgebra, outer_vertices) -> RecollementCon
         sub = build_algebra(Quiver(part, arrows), rels, algebra.length_cap)
         inside = [i for i, p in enumerate(algebra.basis)
                   if p.source in part_set and algebra.basis_target(i) in part_set]
-        assert sub.dimension == len(inside), \
-            "subalgebra basis must match the inside path classes"
+        if sub.dimension != len(inside):
+            raise RectiltError("subalgebra basis does not match the inside path classes")
         return sub
 
     return RecollementContext(algebra, inner, outer,
@@ -148,119 +150,85 @@ def i_upper_star(ctx: RecollementContext, m: Representation) -> Representation:
 # -- the tensor lift ------------------------------------------------------
 
 
-class _TensorData:
-    """Presentation of (N (x) Y)_v for all inner v: spaces and projections."""
-
-    def __init__(self, ctx: RecollementContext, y: Representation):
-        alg = ctx.algebra
-        self.ctx = ctx
-        self.y = y
-        self.per_vertex = {v: [] for v in ctx.inner_vertices}   # (basis idx, source w)
-        for b in ctx.crossing_paths:
-            tgt = alg.basis_target(b)
-            self.per_vertex[tgt].append((b, alg.basis[b].source))
-        self.offset = {}
-        self.raw_dim = {}
-        for v in ctx.inner_vertices:
-            off = {}
-            total = 0
-            for b, w in self.per_vertex[v]:
-                off[b] = total
-                total += y.dims[w]
-            self.offset[v] = off
-            self.raw_dim[v] = total
-        self.dim = {}
-        self.proj = {}
-        for v in ctx.inner_vertices:
-            rows = self._balancing_rows(v)
-            span = Mat.from_rows(rows).transpose() if rows \
-                else Mat.zeros(self.raw_dim[v], 0)
-            d, p = quotient(self.raw_dim[v], span)
-            self.dim[v] = d
-            self.proj[v] = p
-
-    def _balancing_rows(self, v):
-        alg = self.ctx.algebra
-        y = self.y
-        rows = []
-        for a in self.ctx.outer_algebra.arrows:
-            i, j = a.source, a.target
-            (a_ix,) = [k for k, p in enumerate(alg.basis) if p.arrows == (a.name,)]
-            ya = y.maps[a.name]
-            for n, w in self.per_vertex[v]:
-                if w != j:
-                    continue
-                shifted = alg.multiply_basis(n, a_ix)   # crossing paths i -> v
-                for q in range(y.dims[i]):
-                    row = [Fraction(0)] * self.raw_dim[v]
-                    for mm, c in shifted.items():
-                        row[self.offset[v][mm] + q] += c
-                    for t in range(y.dims[j]):
-                        if ya.entries[t][q] != 0:
-                            row[self.offset[v][n] + t] -= ya.entries[t][q]
-                    if any(x != 0 for x in row):
-                        rows.append(row)
-        return rows
-
-    def embed(self, v, b, q):
-        """Raw coordinate vector of (path b) (x) (y basis q) at vertex v."""
-        vec = [Fraction(0)] * self.raw_dim[v]
-        vec[self.offset[v][b] + q] = Fraction(1)
-        return Mat.column(vec)
-
-    def inner_arrow_map(self, arrow) -> Mat:
-        """Induced map (N (x) Y)_src -> (N (x) Y)_tgt for an inner arrow."""
-        alg = self.ctx.algebra
-        v, v2 = arrow.source, arrow.target
-        (b_ix,) = [k for k, p in enumerate(alg.basis) if p.arrows == (arrow.name,)]
-        big = [[Fraction(0)] * self.raw_dim[v] for _ in range(self.raw_dim[v2])]
-        for n, w in self.per_vertex[v]:
-            shifted = alg.multiply_basis(b_ix, n)       # crossing paths w -> v2
-            for mm, c in shifted.items():
-                for q in range(self.y.dims[w]):
-                    big[self.offset[v2][mm] + q][self.offset[v][n] + q] += c
-        bigmat = Mat(self.raw_dim[v2], self.raw_dim[v], big)
-        rhs = (self.proj[v2] @ bigmat).transpose()
-        sol = solve(self.proj[v].transpose(), rhs)
-        assert sol is not None, "left multiplication must respect balancing"
-        return sol.transpose()
+def _by_source(alg: BoundQuiverAlgebra, paths, vertices) -> dict:
+    """The path classes in ``paths`` grouped by source vertex, in list order."""
+    return {w: [b for b in paths if alg.basis[b].source == w] for w in vertices}
 
 
-def _tensor_data(ctx: RecollementContext, y: Representation) -> _TensorData:
-    key = id(y)
-    cached = ctx._tensor_cache.get(key)
-    if cached is None or cached.y is not y:
-        cached = _TensorData(ctx, y)
-        ctx._tensor_cache.clear()
-        ctx._tensor_cache[key] = cached
-    return cached
+def _multiplication(cols, rows, times) -> Mat:
+    """Matrix of n |-> times(n) from span(cols) to span(rows); terms outside rows drop."""
+    pos = {b: r for r, b in enumerate(rows)}
+    entries = [[Fraction(0)] * len(cols) for _ in rows]
+    for c, n in enumerate(cols):
+        for b, coeff in times(n).items():
+            if b in pos:
+                entries[pos[b]][c] = coeff
+    return Mat(len(rows), len(cols), entries)
+
+
+def _right_module(alg: BoundQuiverAlgebra, over: BoundQuiverAlgebra,
+                  paths) -> Representation:
+    """The span of ``paths`` as a right ``over``-module, a representation of over^op.
+
+    ``over`` is ``alg`` or a full subalgebra of it.  An arrow a acts by
+    n |-> n * a; products that leave the span are zero, so ``paths`` may
+    span a quotient of a right ideal.
+    """
+    by_source = _by_source(alg, paths, over.vertices)
+    maps = {}
+    for a in over.arrows:               # right action by a: N_target -> N_source
+        a_ix = alg.arrow_index(a.name)
+        maps[a.name] = _multiplication(by_source[a.target], by_source[a.source],
+                                       lambda n: alg.multiply_basis(n, a_ix))
+    dims = {w: len(bs) for w, bs in by_source.items()}
+    return Representation(over.opposite(), dims, maps)
+
+
+def _crossing_lift(ctx: RecollementContext, y: Representation, v):
+    """(e_vN, its basis paths by source, tensor_dim_data(Y, e_vN)) at inner v.
+
+    (path paths[w][k]) (x) y_q has raw coordinate offsets[w] + q * len(paths[w]) + k.
+    """
+    alg = ctx.algebra
+    ending = [b for b in ctx.crossing_paths if alg.basis_target(b) == v]
+    module = _right_module(alg, ctx.outer_algebra, ending)
+    return module, _by_source(alg, ending, ctx.outer_vertices), tensor_dim_data(y, module)
+
+
+def _left_multiplication(alg: BoundQuiverAlgebra, arrow, source, target) -> Morphism:
+    """phi_b: e_vN -> e_v2N, n |-> b * n, for an inner arrow b: v -> v2."""
+    (src_mod, src_paths, _), (tgt_mod, tgt_paths, _) = source, target
+    b_ix = alg.arrow_index(arrow.name)
+    comps = {w: _multiplication(src_paths[w], tgt_paths[w],
+                                lambda n: alg.multiply_basis(b_ix, n))
+             for w in src_paths}
+    return Morphism(src_mod, tgt_mod, comps)
 
 
 def j_shriek(ctx: RecollementContext, y: Representation) -> Representation:
     """(N (x) Y, Y) with identity structure map."""
     if y.algebra is not ctx.outer_algebra:
         raise ValueError("j_shriek expects a module over the outer algebra")
-    td = _tensor_data(ctx, y)
-    dims = {}
-    maps = {}
-    for v in ctx.inner_vertices:
-        dims[v] = td.dim[v]
-    for w in ctx.outer_vertices:
-        dims[w] = y.dims[w]
-    for a in ctx.outer_algebra.arrows:
-        maps[a.name] = y.maps[a.name]
-    for a in ctx.algebra.arrows:
-        if a.source in ctx._inner_set and a.target in ctx._inner_set:
-            maps[a.name] = td.inner_arrow_map(a)
-        elif a.source in ctx._outer_set and a.target in ctx._inner_set:
-            (c_ix,) = [k for k, p in enumerate(ctx.algebra.basis)
-                       if p.arrows == (a.name,)]
-            cols = [(td.proj[a.target] @ td.embed(a.target, c_ix, q)).col(0)
-                    for q in range(y.dims[a.source])]
-            maps[a.name] = Mat(td.dim[a.target], y.dims[a.source],
-                               [[cols[j][i] for j in range(len(cols))]
-                                for i in range(td.dim[a.target])])
-    return Representation(ctx.algebra, dims, maps)
+    alg = ctx.algebra
+    lifts = {v: _crossing_lift(ctx, y, v) for v in ctx.inner_vertices}
+    dims = dict(y.dims)
+    dims.update({v: tensor[0] for v, (_, _, tensor) in lifts.items()})
+    maps = dict(y.maps)
+    for a in alg.arrows:
+        if a.target not in ctx._inner_set:
+            continue
+        if a.source in ctx._inner_set:
+            phi = _left_multiplication(alg, a, lifts[a.source], lifts[a.target])
+            maps[a.name] = tensor_map(y, phi)[2]
+        else:
+            # a sends y_q to the class of (a) (x) y_q: a column of the projection
+            _, paths, (_, proj, offsets, _) = lifts[a.target]
+            ns = paths[a.source]
+            k = ns.index(alg.arrow_index(a.name))
+            maps[a.name] = proj.submatrix(
+                range(proj.rows),
+                [offsets[a.source] + q * len(ns) + k for q in range(y.dims[a.source])])
+    return Representation(alg, dims, maps)
 
 
 def tensor_rep(ctx: RecollementContext, y: Representation) -> Representation:
@@ -273,30 +241,18 @@ def tensor_rep(ctx: RecollementContext, y: Representation) -> Representation:
 
 def from_triple(ctx: RecollementContext, x: Representation, y: Representation,
                 f: Morphism) -> Representation:
-    """Assemble the module (X, Y)_f from a structure map f: N (x) Y -> X."""
+    """Assemble the module (X, Y)_f from a structure map f: N (x) Y -> X.
+
+    A crossing arrow acts as f after its action on j_! Y.
+    """
     if f.target != x:
         raise ValueError("structure map must land in the inner module")
-    td = _tensor_data(ctx, y)
-    dims = {}
-    maps = {}
-    for v in ctx.inner_vertices:
-        dims[v] = x.dims[v]
-    for w in ctx.outer_vertices:
-        dims[w] = y.dims[w]
-    for a in ctx.inner_algebra.arrows:
-        maps[a.name] = x.maps[a.name]
-    for a in ctx.outer_algebra.arrows:
-        maps[a.name] = y.maps[a.name]
+    lift = j_shriek(ctx, y)
+    dims = {**x.dims, **y.dims}
+    maps = {**x.maps, **y.maps}
     for a in ctx.algebra.arrows:
         if a.source in ctx._outer_set and a.target in ctx._inner_set:
-            (c_ix,) = [k for k, p in enumerate(ctx.algebra.basis)
-                       if p.arrows == (a.name,)]
-            v = a.target
-            cols = [(f.components[v] @ td.proj[v] @ td.embed(v, c_ix, q)).col(0)
-                    for q in range(y.dims[a.source])]
-            maps[a.name] = Mat(x.dims[v], y.dims[a.source],
-                               [[cols[j][i] for j in range(len(cols))]
-                                for i in range(x.dims[v])])
+            maps[a.name] = f.components[a.target] @ lift.maps[a.name]
     return Representation(ctx.algebra, dims, maps)
 
 
@@ -304,20 +260,18 @@ def to_triple(ctx: RecollementContext, m: Representation):
     """(X, Y, f) with X the inner part, Y the outer part, f the action map."""
     x = i_shriek(ctx, m)
     y = j_star_upper(ctx, m)
-    td = _tensor_data(ctx, y)
     comps = {}
     for v in ctx.inner_vertices:
-        cols = []
-        for n, w in td.per_vertex[v]:
-            action = m.eval_path(ctx.algebra.basis[n])
-            for q in range(y.dims[w]):
-                unit = [Fraction(0)] * y.dims[w]
-                unit[q] = Fraction(1)
-                cols.append((action @ Mat.column(unit)).col(0))
-        big = Mat(m.dims[v], td.raw_dim[v],
-                  [[cols[j][i] for j in range(len(cols))] for i in range(m.dims[v])])
-        sol = solve(td.proj[v].transpose(), big.transpose())
-        assert sol is not None, "action map must factor through the balancing quotient"
+        _, paths, (_, proj, offsets, total) = _crossing_lift(ctx, y, v)
+        raw = [None] * total            # row of (path n) (x) y_q: the action of n on y_q
+        for w, ns in paths.items():
+            for k, n in enumerate(ns):
+                action = m.eval_path(ctx.algebra.basis[n])
+                for q in range(y.dims[w]):
+                    raw[offsets[w] + q * len(ns) + k] = action.col(q)
+        sol = solve(proj.transpose(), Mat(total, m.dims[v], raw))
+        if sol is None:
+            raise RectiltError("action map does not factor through the balancing quotient")
         comps[v] = sol.transpose()
     f = Morphism(tensor_rep(ctx, y), x, comps)
     return x, y, f
@@ -339,53 +293,18 @@ def canonical_sequence(ctx: RecollementContext, m: Representation) -> SES:
 
 def bimodule_right(ctx: RecollementContext) -> Representation:
     """The crossing bimodule as a right outer-algebra module."""
-    alg = ctx.algebra
-    opp = ctx.outer_algebra.opposite()
-    by_source = {w: [b for b in ctx.crossing_paths if alg.basis[b].source == w]
-                 for w in ctx.outer_vertices}
-    dims = {w: len(by_source[w]) for w in ctx.outer_vertices}
-    maps = {}
-    for a in ctx.outer_algebra.arrows:
-        i, j = a.source, a.target     # right action by a: N_j -> N_i
-        (a_ix,) = [k for k, p in enumerate(alg.basis) if p.arrows == (a.name,)]
-        pos = {b: r for r, b in enumerate(by_source[i])}
-        cols = []
-        for n in by_source[j]:
-            prod = alg.multiply_basis(n, a_ix)
-            col = [Fraction(0)] * dims[i]
-            for mm, c in prod.items():
-                col[pos[mm]] = c
-            cols.append(col)
-        maps[a.name] = Mat(dims[i], dims[j],
-                           [[cols[q][r] for q in range(dims[j])] for r in range(dims[i])])
-    return Representation(opp, dims, maps)
+    return _right_module(ctx.algebra, ctx.outer_algebra, ctx.crossing_paths)
 
 
 def quotient_right_module(ctx: RecollementContext) -> Representation:
-    """The inner algebra as a right module over the whole algebra."""
+    """The inner algebra as a right module over the whole algebra.
+
+    Its basis is the inner path classes; crossing products die in the quotient.
+    """
     alg = ctx.algebra
-    opp = alg.opposite()
-    inner_paths = {v: [] for v in alg.vertices}
-    for b, p in enumerate(alg.basis):
-        if p.source in ctx._inner_set and alg.basis_target(b) in ctx._inner_set:
-            inner_paths[p.source].append(b)
-    dims = {v: len(inner_paths[v]) for v in alg.vertices}
-    maps = {}
-    for a in alg.arrows:
-        i, j = a.source, a.target      # right action by a: Q_j -> Q_i
-        (a_ix,) = [k for k, p in enumerate(alg.basis) if p.arrows == (a.name,)]
-        pos = {b: r for r, b in enumerate(inner_paths[i])}
-        cols = []
-        for n in inner_paths[j]:
-            prod = alg.multiply_basis(n, a_ix)
-            col = [Fraction(0)] * dims[i]
-            for mm, c in prod.items():
-                if mm in pos:          # crossing products die in the quotient
-                    col[pos[mm]] = c
-            cols.append(col)
-        maps[a.name] = Mat(dims[i], dims[j],
-                           [[cols[q][r] for q in range(dims[j])] for r in range(dims[i])])
-    return Representation(opp, dims, maps)
+    inner = [b for b, p in enumerate(alg.basis)
+             if p.source in ctx._inner_set and alg.basis_target(b) in ctx._inner_set]
+    return _right_module(alg, alg, inner)
 
 
 @dataclass

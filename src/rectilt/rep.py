@@ -383,15 +383,10 @@ def pushout(f: Morphism, g: Morphism):
     if f.source != g.source:
         raise ValueError("pushout legs must share their source")
     alg = f.source.algebra
-    total, (inj_n, inj_p), _ = _sum_pair(alg, f.target, g.target)
+    _, (inj_n, inj_p), _ = direct_sum_with_maps(alg, [f.target, g.target])
     h = inj_n.compose(f).add(inj_p.compose(g).scale(-1))
     e, proj = cokernel(h)
     return e, proj.compose(inj_n), proj.compose(inj_p)
-
-
-def _sum_pair(algebra, n, p):
-    total, injs, projs = direct_sum_with_maps(algebra, [n, p])
-    return total, injs, projs
 
 
 # -- standard modules ---------------------------------------------------
@@ -412,7 +407,7 @@ def projective(algebra: BoundQuiverAlgebra, v: str) -> Representation:
     for a in algebra.arrows:
         src_list, tgt_list = idx[a.source], idx[a.target]
         pos = {b: r for r, b in enumerate(tgt_list)}
-        (arrow_ix,) = [i for i, p in enumerate(algebra.basis) if p.arrows == (a.name,)]
+        arrow_ix = algebra.arrow_index(a.name)
         cols = []
         for b in src_list:
             prod = algebra.multiply_basis(arrow_ix, b)
@@ -754,7 +749,7 @@ def split_off_summand(c: Representation, t: Representation) -> Representation | 
     return None
 
 
-def in_add_of(m: Representation, classes, seed: int = 0) -> bool:
+def in_add_of(m: Representation, classes) -> bool:
     """Whether m lies in add(classes); members must be indecomposable.
 
     Splits off copies of the classes until nothing is left (membership)

@@ -73,7 +73,7 @@ class TiltingCertificate:
         }
 
 
-def is_partial_tilting(t: Representation, seed: int = 0) -> TiltingCertificate:
+def is_partial_tilting(t: Representation) -> TiltingCertificate:
     """(T1) pd <= 1 and (T2) Ext^1(T, T) = 0, recorded with their values."""
     return TiltingCertificate(t, proj_dim(t), ext1_dim(t, t))
 
@@ -86,7 +86,7 @@ def is_tilting(t: Representation, seed: int = 0) -> TiltingCertificate:
     criterion (#classes = #simples) is asserted to agree whenever the
     module is partial tilting.
     """
-    cert = is_partial_tilting(t, seed)
+    cert = is_partial_tilting(t)
     alg = t.algebra
     classes = [rep for rep, _ in decompose(t, seed)]
     cert.indecomposable_count = len(classes)
@@ -114,7 +114,7 @@ def is_tilting(t: Representation, seed: int = 0) -> TiltingCertificate:
         cok, _ = cokernel(approx)
         mid_dims.append(power.dim_vector())
         cok_dims.append(cok.dim_vector())
-        if not in_add_of(cok, classes, seed):
+        if not in_add_of(cok, classes):
             verdict = False
             break
     cert.t3_constructive = verdict
@@ -198,7 +198,7 @@ def partition_roster(t: Representation, roster: Roster) -> RosterPartition:
     return part
 
 
-def is_tilting_torsion_pair(t: Representation, roster: Roster | None = None) -> bool:
+def is_tilting_torsion_pair(t: Representation) -> bool:
     """Gen T contains every indecomposable injective."""
     alg = t.algebra
     return all(gen_member(t, injective(alg, v)) for v in alg.vertices)
@@ -214,7 +214,7 @@ class TorsionPairVerdict:
         return {"holds": self.holds, "reason": self.reason, "witness": self.witness}
 
 
-def is_torsion_pair(tclass, fclass, roster: Roster, seed: int = 0) -> TorsionPairVerdict:
+def is_torsion_pair(tclass, fclass, roster: Roster) -> TorsionPairVerdict:
     """Definition check for (add tclass, add fclass) on the roster.
 
     (i) Hom(X, Y) = 0 for X in tclass, Y in fclass; (ii) every roster
@@ -233,13 +233,13 @@ def is_torsion_pair(tclass, fclass, roster: Roster, seed: int = 0) -> TorsionPai
     tsum = direct_sum(alg, tclass)
     for m in roster.modules:
         tr, incl = trace(tsum, m)
-        if not in_add_of(tr, tclass, seed):
+        if not in_add_of(tr, tclass):
             return TorsionPairVerdict(
                 False, "trace not in add of the torsion class",
                 {"module_dims": m.to_json()["dims"]})
         spans = {v: incl.components[v] for v in alg.vertices}
         quot, _ = quotient_rep(m, spans)
-        if not in_add_of(quot, fclass, seed):
+        if not in_add_of(quot, fclass):
             return TorsionPairVerdict(
                 False, "trace quotient not in add of the free class",
                 {"module_dims": m.to_json()["dims"]})

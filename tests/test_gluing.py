@@ -127,7 +127,7 @@ def test_glue_case2(ctx, roster):
 def test_glued_pairs_are_tilting(ctx, roster):
     for t2 in (t_outer_case1(ctx), t_outer_case2(ctx)):
         spec = GluedPairSpec(ctx, t_inner(ctx), t2)
-        assert glued_pair_is_tilting(spec, roster)
+        assert glued_pair_is_tilting(spec)
 
 
 # -- case (3): hypothesis failure reproduced ------------------------------------

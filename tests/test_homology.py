@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from rectilt.errors import CapExceeded
+from rectilt import homology as homology_module
+from rectilt.errors import CapExceeded, RectiltError
 from rectilt.homology import (
     enumerate_roster,
     ext1,
@@ -19,6 +20,7 @@ from rectilt.homology import (
     tau,
     tau_inverse,
     tensor_dim,
+    tensor_map,
     top,
     tor1_right,
     transpose,
@@ -178,6 +180,15 @@ def test_tensor_with_right_projective_gives_vertex_dims(outer):
         for w in outer.vertices:
             # e_v A (x) S(w) has dimension dim e_v A e_w ... quotient collapses
             assert tensor_dim(nright, simple(outer, w)) == (1 if v == w else 0)
+
+
+def test_tensor_map_check_is_an_error_not_an_assert(outer, monkeypatch):
+    # the descent check must still fire under ``python -O``
+    nright = projective(outer.opposite(), "4")
+    pres = min_presentation(simple(outer, "3"))
+    monkeypatch.setattr(homology_module, "solve", lambda mat, rhs: None)
+    with pytest.raises(RectiltError, match="does not descend"):
+        tensor_map(nright, pres.inclusion)
 
 
 def test_tor1_of_right_projective_vanishes(outer):

@@ -1,8 +1,12 @@
 """The six functors, exactness certificates and recollement identities."""
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from rectilt.errors import NotTriangular
+from rectilt import recollement as recollement_module
+from rectilt.algebra import Quiver, Relation, build_algebra
+from rectilt.errors import NotTriangular, RectiltError
 from rectilt.homology import enumerate_roster
 from rectilt.recollement import (
     apply_functor,
@@ -20,7 +24,7 @@ from rectilt.recollement import (
     to_triple,
     verify_recollement_identities,
 )
-from rectilt.rep import hom_dim, is_isomorphic, projective, simple
+from rectilt.rep import hom_dim, injective, is_isomorphic, projective, simple
 
 
 @pytest.fixture(scope="module")
@@ -53,6 +57,16 @@ def test_split_recovers_parts(ctx, inner, outer):
 def test_split_wrong_side_is_not_triangular(glued):
     with pytest.raises(NotTriangular):
         split_context(glued, ["1", "2"])
+
+
+def test_subalgebra_check_is_an_error_not_an_assert(glued, monkeypatch):
+    # a part built without its relations is too big; the check must survive ``python -O``
+    def without_relations(quiver, relations, length_cap):
+        return build_algebra(quiver, [], length_cap)
+
+    monkeypatch.setattr(recollement_module, "build_algebra", without_relations)
+    with pytest.raises(RectiltError, match="subalgebra basis"):
+        split_context(glued, ["3", "4", "5"])
 
 
 def test_product_split_has_zero_bimodule(product_ctx):
@@ -106,6 +120,29 @@ def test_triple_round_trip(ctx, glued_roster):
         x, y, f = to_triple(ctx, m)
         rebuilt = from_triple(ctx, x, y, f)
         assert rebuilt == m
+
+
+def test_tensor_lift_with_parallel_crossing_paths():
+    # two crossing paths 2 -> 3 meet a 2-dimensional P''(1) at 2, so the order
+    # of the raw tensor coordinates matters
+    q = Quiver(["1", "2", "3"], [("a1", "1", "2"), ("a2", "1", "2"),
+                                 ("b1", "2", "3"), ("b2", "2", "3")])
+    alg = build_algebra(q, [Relation([(1, ("a1", "b1")), (1, ("a2", "b2"))])], 10)
+    split = split_context(alg, ["1", "2"])
+    for w in split.outer_vertices:
+        lifted = j_shriek(split, projective(split.outer_algebra, w))
+        assert is_isomorphic(lifted, projective(alg, w))[0]
+    for v in alg.vertices:
+        for m in (projective(alg, v), injective(alg, v)):
+            assert from_triple(split, *to_triple(split, m)) == m
+
+
+def test_to_triple_check_is_an_error_not_an_assert(ctx, monkeypatch):
+    # the factorisation check must still fire under ``python -O``
+    m = j_shriek(ctx, projective(ctx.outer_algebra, "4"))
+    monkeypatch.setattr(recollement_module, "solve", lambda mat, rhs: None)
+    with pytest.raises(RectiltError, match="does not factor"):
+        to_triple(ctx, m)
 
 
 # -- canonical sequence ----------------------------------------------------------
@@ -202,3 +239,51 @@ def test_embeddings_are_fully_faithful(ctx):
         for y2 in outer_mods:
             assert hom_dim(j_star_lower(ctx, y), j_star_lower(ctx, y2)) == hom_dim(y, y2)
             assert hom_dim(j_shriek(ctx, y), j_shriek(ctx, y2)) == hom_dim(y, y2)
+
+
+# -- random triangular splits -------------------------------------------------------
+
+@st.composite
+def triangular_splits(draw):
+    """A type A orientation on <= 5 vertices or a commutative square, split.
+
+    The outer set is closed under predecessors, so no arrow, and hence no
+    path class, runs from the inner part to the outer part.
+    """
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 5))
+        vertices = [str(k) for k in range(1, n + 1)]
+        arrows = [(f"a{k}",) + ((str(k), str(k + 1)) if draw(st.booleans())
+                                else (str(k + 1), str(k)))
+                  for k in range(1, n)]
+        relations = []
+    else:
+        vertices = ["1", "2", "3", "4"]
+        arrows = [("a", "1", "2"), ("b", "1", "3"), ("c", "2", "4"), ("d", "3", "4")]
+        relations = [Relation([(1, ("a", "c")), (-1, ("b", "d"))])]
+        if draw(st.booleans()):
+            relations.append(Relation([(1, ("a", "c"))]))
+    algebra = build_algebra(Quiver(vertices, arrows), relations, 10)
+    outer = set(draw(st.sets(st.sampled_from(vertices), min_size=1)))
+    while True:
+        grown = outer | {a.source for a in algebra.arrows if a.target in outer}
+        if grown == outer:
+            break
+        outer = grown
+    assume(len(outer) < len(vertices))
+    return split_context(algebra, sorted(outer))
+
+
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(triangular_splits())
+def test_recollement_on_random_triangular_splits(split):
+    roster = enumerate_roster(split.algebra).modules
+    inner_roster = enumerate_roster(split.inner_algebra).modules
+    outer_roster = enumerate_roster(split.outer_algebra).modules
+    report = verify_recollement_identities(split, roster, inner_roster, outer_roster)
+    assert report["all_pass"], [c for c in report["checks"] if not c["pass"]]
+    for m in roster:
+        assert from_triple(split, *to_triple(split, m)) == m
+    for w in split.outer_vertices:
+        lifted = j_shriek(split, projective(split.outer_algebra, w))
+        assert is_isomorphic(lifted, projective(split.algebra, w))[0]
