@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CapExceeded, RelationIllFormed
+from .errors import CapExceeded, RectiltError, RelationIllFormed
 from .linalg import Mat, format_fraction, parse_fraction, rref
 
 # Products are written right-to-left; stored paths list arrows first-applied-first.
@@ -245,8 +245,8 @@ class BoundQuiverAlgebra:
                                 right[u] = right.get(u, Fraction(0)) + c * cu
                     diff = {u: left.get(u, Fraction(0)) - right.get(u, Fraction(0))
                             for u in set(left) | set(right)}
-                    assert all(v == 0 for v in diff.values()), \
-                        f"product table not associative at ({i},{j},{k})"
+                    if any(v != 0 for v in diff.values()):
+                        raise RectiltError(f"product table not associative at ({i},{j},{k})")
 
     # -- opposite --------------------------------------------------------
 

@@ -21,11 +21,10 @@ from .rep import (
     Representation,
     SES,
     add_equal,
-    basic_summands,
-    decompose,
     direct_sum,
     in_add_of,
     injective,
+    summand_classes,
 )
 from .recollement import (
     RecollementContext,
@@ -107,8 +106,7 @@ class GlueCertificate:
         }
 
 
-def glue_tilting(spec: GluedPairSpec, roster: Roster | None = None,
-                 seed: int = 0) -> GlueCertificate:
+def glue_tilting(spec: GluedPairSpec, roster: Roster | None = None) -> GlueCertificate:
     """Glue two tilting modules into one over the whole algebra.
 
     Hypotheses checked up front: the tensor lift must be exact (Tor
@@ -120,12 +118,12 @@ def glue_tilting(spec: GluedPairSpec, roster: Roster | None = None,
     if not exact.j_shriek_exact:
         raise HypothesisFailed("j_!", "Tor_1 of the crossing bimodule is nonzero "
                                       "on an outer simple")
-    inner_cert = is_tilting(spec.inner_tilting, seed)
+    inner_cert = is_tilting(spec.inner_tilting)
     if not inner_cert.tilting:
         raise HypothesisFailed("inner tilting module",
                                f"pd={inner_cert.pd}, ext1={inner_cert.ext1_self}, "
                                f"t3={inner_cert.t3_constructive}")
-    outer_cert = is_tilting(spec.outer_tilting, seed)
+    outer_cert = is_tilting(spec.outer_tilting)
     if not outer_cert.tilting:
         raise HypothesisFailed("outer tilting module",
                                f"pd={outer_cert.pd}, ext1={outer_cert.ext1_self}, "
@@ -138,14 +136,12 @@ def glue_tilting(spec: GluedPairSpec, roster: Roster | None = None,
     middle = ses.middle
     universal_ok = ext1_dim(middle, lifted_outer) == 0
 
-    pieces = [p for p, _ in decompose(lifted_outer, seed)]
-    pieces += [p for p, _ in decompose(middle, seed)]
-    summands = basic_summands(pieces, seed)
+    summands = summand_classes([lifted_outer, middle])
     glued = direct_sum(ctx.algebra, summands)
 
-    tilt_cert = is_tilting(glued, seed)
+    tilt_cert = is_tilting(glued)
     if roster is None:
-        roster = enumerate_roster(ctx.algebra, seed=seed)
+        roster = enumerate_roster(ctx.algebra)
     part = partition_roster(glued, roster)
     matches = True
     for i, m in enumerate(roster.modules):
@@ -156,8 +152,8 @@ def glue_tilting(spec: GluedPairSpec, roster: Roster | None = None,
             matches = False
             break
     torsion_mods = [roster.modules[i] for i in part.torsion]
-    projs = ext_projectives(torsion_mods, seed)
-    projs_match = add_equal([projs], [glued], seed)
+    projs = ext_projectives(torsion_mods)
+    projs_match = add_equal([projs], [glued])
 
     return GlueCertificate(
         module=glued,
@@ -176,7 +172,7 @@ def glue_tilting(spec: GluedPairSpec, roster: Roster | None = None,
 
 
 def restricted_pair(ctx: RecollementContext, t: Representation, side: str,
-                    roster: Roster | None = None, seed: int = 0):
+                    roster: Roster | None = None):
     """Images of the induced torsion pair under the restriction functors.
 
     Returns (torsion classes, free classes) as lists of indecomposables.
@@ -184,15 +180,11 @@ def restricted_pair(ctx: RecollementContext, t: Representation, side: str,
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     if roster is None:
-        roster = enumerate_roster(ctx.algebra, seed=seed)
+        roster = enumerate_roster(ctx.algebra)
     part = partition_roster(t, roster)
 
     def images(indices, functor):
-        pieces = []
-        for i in indices:
-            img = functor(roster.modules[i])
-            pieces += [p for p, _ in decompose(img, seed)]
-        return basic_summands(pieces, seed)
+        return summand_classes([functor(roster.modules[i]) for i in indices])
 
     if side == "left":
         tclass = images(part.torsion, lambda m: i_upper_star(ctx, m))
@@ -204,13 +196,13 @@ def restricted_pair(ctx: RecollementContext, t: Representation, side: str,
 
 
 def check_restriction_hypotheses(ctx: RecollementContext, t: Representation,
-                                 roster: Roster | None = None, seed: int = 0) -> dict:
+                                 roster: Roster | None = None) -> dict:
     """Closure of both classes under j_* j^* plus exactness of j_*.
 
     Reports the first witness violating either inclusion.
     """
     if roster is None:
-        roster = enumerate_roster(ctx.algebra, seed=seed)
+        roster = enumerate_roster(ctx.algebra)
     part = partition_roster(t, roster)
     tlist = [roster.modules[i] for i in part.torsion]
     flist = [roster.modules[i] for i in part.free]
@@ -251,52 +243,50 @@ class RestrictionResult:
 
 
 def restrict_right(ctx: RecollementContext, t: Representation,
-                   roster: Roster | None = None, seed: int = 0) -> RestrictionResult:
+                   roster: Roster | None = None) -> RestrictionResult:
     """j^*(T) in basic form; tilting-ness holds without any hypothesis.
 
     The partition equality with (Gen j^*T, perp) is certified only when
     the closure hypotheses hold; its verdict is reported either way.
     """
     if roster is None:
-        roster = enumerate_roster(ctx.algebra, seed=seed)
-    raw = j_star_upper(ctx, t)
-    summands = basic_summands([p for p, _ in decompose(raw, seed)], seed)
+        roster = enumerate_roster(ctx.algebra)
+    summands = summand_classes([j_star_upper(ctx, t)])
     module = direct_sum(ctx.outer_algebra, summands)
-    cert = is_tilting(module, seed)
-    hyp = check_restriction_hypotheses(ctx, t, roster, seed)
-    tclass, fclass = restricted_pair(ctx, t, "right", roster, seed)
-    outer_roster = enumerate_roster(ctx.outer_algebra, seed=seed)
+    cert = is_tilting(module)
+    hyp = check_restriction_hypotheses(ctx, t, roster)
+    tclass, fclass = restricted_pair(ctx, t, "right", roster)
+    outer_roster = enumerate_roster(ctx.outer_algebra)
     part = partition_roster(module, outer_roster)
-    eq = (add_equal(tclass, [outer_roster.modules[i] for i in part.torsion], seed)
-          and add_equal(fclass, [outer_roster.modules[i] for i in part.free], seed)
+    eq = (add_equal(tclass, [outer_roster.modules[i] for i in part.torsion])
+          and add_equal(fclass, [outer_roster.modules[i] for i in part.free])
           and not part.neither)
     return RestrictionResult("right", module, summands, cert, True, hyp, eq,
                              (tclass, fclass))
 
 
 def restrict_left(ctx: RecollementContext, t: Representation,
-                  roster: Roster | None = None, seed: int = 0) -> RestrictionResult:
+                  roster: Roster | None = None) -> RestrictionResult:
     """i^*(T) in basic form; certified tilting only when i^* is exact.
 
     When i^* is inexact no exception is raised: the module is returned
     with its tilting-ness flagged unverified.
     """
     if roster is None:
-        roster = enumerate_roster(ctx.algebra, seed=seed)
+        roster = enumerate_roster(ctx.algebra)
     exact = check_exactness(ctx)
-    raw = i_upper_star(ctx, t)
-    summands = basic_summands([p for p, _ in decompose(raw, seed)], seed)
+    summands = summand_classes([i_upper_star(ctx, t)])
     module = direct_sum(ctx.inner_algebra, summands)
     hyp = {"i_upper_star_exact": exact.i_upper_star_exact,
            "tor1_on_simples": exact.i_upper_star_tor}
     if not exact.i_upper_star_exact:
         return RestrictionResult("left", module, summands, None, False, hyp, None)
-    cert = is_tilting(module, seed)
-    tclass, fclass = restricted_pair(ctx, t, "left", roster, seed)
-    inner_roster = enumerate_roster(ctx.inner_algebra, seed=seed)
+    cert = is_tilting(module)
+    tclass, fclass = restricted_pair(ctx, t, "left", roster)
+    inner_roster = enumerate_roster(ctx.inner_algebra)
     part = partition_roster(module, inner_roster)
-    eq = (add_equal(tclass, [inner_roster.modules[i] for i in part.torsion], seed)
-          and add_equal(fclass, [inner_roster.modules[i] for i in part.free], seed)
+    eq = (add_equal(tclass, [inner_roster.modules[i] for i in part.torsion])
+          and add_equal(fclass, [inner_roster.modules[i] for i in part.free])
           and not part.neither)
     return RestrictionResult("left", module, summands, cert, True, hyp, eq,
                              (tclass, fclass))

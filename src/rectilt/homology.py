@@ -26,12 +26,12 @@ from .rep import (
     hom_basis,
     hom_from_projective,
     identity_morphism,
-    is_isomorphic,
     kernel,
     projective,
     projective_basis_paths,
     pushout,
     quotient_rep,
+    same_class,
     subrep_from_subspaces,
     zero_morphism,
     zero_rep,
@@ -89,7 +89,8 @@ def projective_cover(m: Representation) -> tuple[Representation, Morphism, list[
             ent[k][0] = Fraction(1)
             unit = Mat(t.dims[v], 1, ent)
             gen = solve(proj.components[v], unit)
-            assert gen is not None, "top projection must be surjective"
+            if gen is None:
+                raise RectiltError("top projection must be surjective")
             pieces.append(hom_from_projective(alg, v, m, gen.col(0)))
             vertices.append(v)
     if not pieces:
@@ -101,7 +102,8 @@ def projective_cover(m: Representation) -> tuple[Representation, Morphism, list[
         blocks = [f.components[v] for f in pieces]
         comps[v] = Mat.hstack(blocks, rows=m.dims[v])
     surj = Morphism(p0, m, comps)
-    assert surj.is_surjective(), "projective cover failed to surject"
+    if not surj.is_surjective():
+        raise RectiltError("projective cover failed to surject")
     return p0, surj, vertices
 
 
@@ -161,7 +163,8 @@ def ext1(m: Representation, n: Representation) -> ExtSpace:
         restricted = [flatten_morphism(f.compose(pres.inclusion)) for f in p0_basis]
         rmat_flat = Mat.from_rows(restricted).transpose()
         coords = solve(wmat, rmat_flat)
-        assert coords is not None
+        if coords is None:
+            raise RectiltError("restricted cover maps are not in Hom(Omega, n)")
     else:
         coords = Mat.zeros(w, 0)
     dim, proj = quotient(w, coords)
@@ -172,7 +175,8 @@ def ext1(m: Representation, n: Representation) -> ExtSpace:
         ent = [list(r) for r in unit.entries]
         ent[k][0] = Fraction(1)
         sol = solve(proj, Mat(dim, 1, ent))
-        assert sol is not None
+        if sol is None:
+            raise RectiltError("Ext^1 quotient map is not surjective")
         f = zero_morphism(pres.syzygy, n)
         for i in range(w):
             if sol[i, 0] != 0:
@@ -195,7 +199,8 @@ def _pushout_extension(pres: ProjectivePresentation, cocycle: Morphism) -> SES:
     want = flatten_morphism(pres.surjection) + flatten_morphism(
         zero_morphism(cocycle.target, pres.module))
     sol = solve(Mat.from_rows(rows).transpose(), Mat.column(want)) if rows else None
-    assert sol is not None, "extension middle term must map onto the source"
+    if sol is None:
+        raise RectiltError("extension middle term must map onto the source")
     target = zero_morphism(mid, pres.module)
     for i, f in enumerate(candidates):
         if sol[i, 0] != 0:
@@ -281,7 +286,8 @@ def ext_k(m: Representation, n: Representation, k: int, cap: int | None = None) 
         cmat = Mat.from_rows([flatten_morphism(f) for f in cod]).transpose()
         cols = [flatten_morphism(f.compose(diffs[i])) for f in dom]
         sol = solve(cmat, Mat.from_rows(cols).transpose())
-        assert sol is not None
+        if sol is None:
+            raise RectiltError("precomposed maps are not in the next Hom space")
         return sol
 
     if k == 0:
@@ -465,9 +471,10 @@ class Roster:
     def modules(self) -> list[Representation]:
         return [e.module for e in self.entries]
 
-    def find(self, m: Representation, seed: int = 0) -> int | None:
+    def find(self, m: Representation) -> int | None:
+        """Index of the entry isomorphic to m, or None; m may be any module."""
         for i, entry in enumerate(self.entries):
-            if is_isomorphic(entry.module, m, seed)[0]:
+            if same_class(entry.module, m):
                 return i
         return None
 
@@ -485,7 +492,7 @@ def roster_from_json(algebra: BoundQuiverAlgebra, data) -> Roster:
     return Roster(algebra, entries)
 
 
-def enumerate_roster(algebra: BoundQuiverAlgebra, cap: int = 256, seed: int = 0) -> Roster:
+def enumerate_roster(algebra: BoundQuiverAlgebra, cap: int = 256) -> Roster:
     """Indecomposables as the tau-inverse closure of the projectives.
 
     Complete for representation-directed algebras; CapExceeded past
@@ -506,7 +513,7 @@ def enumerate_roster(algebra: BoundQuiverAlgebra, cap: int = 256, seed: int = 0)
         t = tau_inverse(m)
         if t.is_zero():
             continue
-        if any(is_isomorphic(t, e.module, seed)[0] for e in entries):
+        if any(same_class(e.module, t) for e in entries):
             continue
         if len(entries) + 1 > cap:
             raise CapExceeded(f"roster exceeded {cap} modules; "

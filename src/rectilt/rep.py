@@ -9,6 +9,12 @@ Decomposition follows the characteristic-zero route: radical of the
 endomorphism ring by the trace form, splitting elements found through
 minimal-polynomial factorisation, idempotents lifted through the
 radical by the cubic Newton step ``e <- 3e^2 - 2e^3``.
+
+One criterion decides summand classes: the trace pairing P(x, m)[i][j] =
+tr(g_j o f_i) of the bases f of Hom(x, m) and g of Hom(m, x).  Traces kill
+nilpotents in characteristic 0, so for x indecomposable rank P(x, m) =
+mult_x(m) * dim End(x)/rad.  Multiplicities, add-membership, isomorphism
+classes and witnesses, and the radical of End(M) all read this one rank.
 """
 
 from __future__ import annotations
@@ -291,6 +297,21 @@ def flatten_morphism(f: Morphism) -> list[Fraction]:
     return out
 
 
+def _pairing_matrix(fs, gs) -> Mat:
+    """P[i][j] = tr(gs[j] o fs[i]) for fs: x -> m and gs: m -> x, as F @ G^T."""
+    if not fs or not gs:
+        return Mat.zeros(len(fs), len(gs))
+    g_rows = [[c for v in g.source.algebra.vertices
+               for row in g.components[v].transpose().entries for c in row] for g in gs]
+    return Mat.from_rows([flatten_morphism(f) for f in fs]) @ Mat.from_rows(g_rows).transpose()
+
+
+def _trace_pairing(x: Representation, m: Representation):
+    """Bases of Hom(x, m) and Hom(m, x) with their trace pairing."""
+    fs, gs = hom_basis(x, m), hom_basis(m, x)
+    return fs, gs, _pairing_matrix(fs, gs)
+
+
 # -- constructions ------------------------------------------------------
 
 
@@ -509,12 +530,11 @@ class _EndRing:
         return out
 
     def radical(self) -> Mat:
-        """Basis (columns) of rad End via the trace form tr(L_x L_y)."""
-        d = self.dim
-        tau = [sum(self.table[mm][k][k] for k in range(d)) for mm in range(d)]
-        gram = [[sum(self.table[i][j][mm] * tau[mm] for mm in range(d)) for j in range(d)]
-                for i in range(d)]
-        return kernel_basis(Mat.from_rows(gram))
+        """Basis (columns) of rad End: the kernel of the Gram matrix of tr(xy) on M.
+
+        End(M) acts faithfully on M, so this is Dickson's criterion.
+        """
+        return kernel_basis(_pairing_matrix(self.basis, self.basis))
 
     def to_morphism(self, coords) -> Morphism:
         f = zero_morphism(self.module, self.module)
@@ -596,7 +616,8 @@ def _coprime_split(coeffs):
     for base, mult in factors[1:]:
         g = g * base ** mult
     s, _, h = f.gcdex(g)
-    assert h.degree() == 0
+    if h.degree() != 0:
+        raise RectiltError("minimal-polynomial factors are not coprime")
     s = s * sympy.Poly(sympy.Rational(1) / h.LC(), t, domain="QQ")
     e_poly = (s * f) % (f * g)
     return [Fraction(int(c.p), int(c.q)) for c in e_poly.all_coeffs()]
@@ -647,7 +668,7 @@ def _split_once(m: Representation, seed: int):
             # Newton step doubles the radical-power accuracy
             e = e2.scale(3).add(e2.compose(e).scale(-2))
         else:
-            raise AssertionError("idempotent lifting did not converge")
+            raise RectiltError("idempotent lifting did not converge")
         img, _ = image(e)
         ker, _ = kernel(e)
         if img.total_dim == 0 or ker.total_dim == 0:
@@ -674,8 +695,7 @@ def decompose(m: Representation, seed: int = 0) -> list[tuple[Representation, in
     grouped: list[tuple[Representation, int]] = []
     for piece in pieces:
         for k, (rep, count) in enumerate(grouped):
-            ok, _ = is_isomorphic(rep, piece, seed)
-            if ok:
+            if same_class(rep, piece):
                 grouped[k] = (rep, count + 1)
                 break
         else:
@@ -683,105 +703,89 @@ def decompose(m: Representation, seed: int = 0) -> list[tuple[Representation, in
     return grouped
 
 
-def is_isomorphic(m: Representation, n: Representation, seed: int = 0):
-    """(found, witness): search Hom(m, n) for an invertible element.
+def multiplicity(x: Representation, m: Representation) -> int:
+    """How often the indecomposable x occurs as a direct summand of m.
 
-    Deterministic given the seed; a returned witness is verified exactly,
-    so a positive answer is unconditional.
+    rank P(x, m) = mult * dim End(x)/rad and rank P(x, x) = dim End(x)/rad;
+    a division that is not exact means x is not indecomposable.
+    """
+    whole = rank(_trace_pairing(x, m)[2])
+    unit = rank(_trace_pairing(x, x)[2])
+    if unit == 0 or whole % unit:
+        raise RectiltError(f"pairing rank {whole} is not a multiple of {unit}: not indecomposable")
+    return whole // unit
+
+
+def same_class(x: Representation, y: Representation) -> bool:
+    """Whether y is isomorphic to the indecomposable x: a summand of equal dimensions."""
+    return x.dims == y.dims and not _trace_pairing(x, y)[2].is_zero()
+
+
+def is_isomorphic(m: Representation, n: Representation):
+    """(found, witness): a deterministic and complete isomorphism test.
+
+    Each class x of m has End(x)/rad = Q and occurs k times, so P(x, n) must
+    have rank k.  Its pivot rows and those columns of P(x, m) give f_a: x -> n
+    and g_a: m -> x independent modulo the radical; the sum of the f_a o g_a
+    is invertible.
     """
     if m.algebra is not n.algebra or m.dims != n.dims:
         return False, None
-    if m.total_dim == 0:
-        return True, zero_morphism(m, n)
-    basis = hom_basis(m, n)
-    if not basis:
-        return False, None
-    for f in basis:
-        if f.is_invertible():
-            return True, f
-    rng = random.Random(seed)
-    for attempt in range(64):
-        spread = 1 if attempt < 16 else (3 if attempt < 48 else 9)
-        f = zero_morphism(m, n)
-        for b in basis:
-            c = rng.randint(-spread, spread)
-            if c:
-                f = f.add(b.scale(c))
-        if f.is_invertible():
-            return True, f
-    return False, None
+    witness = zero_morphism(m, n)
+    for x, k in decompose(m):
+        fs, _, p_n = _trace_pairing(x, n)
+        _, gs, p_m = _trace_pairing(x, m)
+        rows = rref(p_n.transpose())[1]
+        if len(rows) != k:
+            return False, None
+        for a, b in zip(rows, rref(p_m)[1]):
+            witness = witness.add(fs[a].compose(gs[b]))
+    if not witness.is_invertible():
+        raise RectiltError("multiplicities agree but the isomorphism witness is singular")
+    return True, witness
 
 
-def basic_summands(mods, seed: int = 0) -> list[Representation]:
-    """One representative per isomorphism class, canonically ordered."""
+def basic_summands(mods) -> list[Representation]:
+    """One representative per class of indecomposable mods (zeros dropped), sorted."""
     out: list[Representation] = []
     for m in sorted(mods, key=lambda r: r.canonical_key()):
-        if m.is_zero():
-            continue
-        if not any(is_isomorphic(m, seen, seed)[0] for seen in out):
+        if not m.is_zero() and not any(same_class(seen, m) for seen in out):
             out.append(m)
     return out
+
+
+def summand_classes(mods) -> list[Representation]:
+    """One indecomposable per isomorphism class of summands of the mods."""
+    return basic_summands([p for m in mods for p, _ in decompose(m)])
 
 
 def split_off_summand(c: Representation, t: Representation) -> Representation | None:
     """The complement of one direct summand of c isomorphic to t, or None.
 
-    Requires t indecomposable (local endomorphism ring): t is a summand
-    of c iff some pair of a map t -> c and a map c -> t composes to an
-    invertible endomorphism of t, in which case that pair yields an exact
-    splitting idempotent.
+    Requires t indecomposable (local endomorphism ring): a nonzero entry
+    tr(g o f) of P(t, c) makes g o f invertible, so g splits and its
+    kernel is the complement.
     """
     if t.is_zero() or any(c.dims[v] < t.dims[v] for v in c.algebra.vertices):
         return None
-    fs = hom_basis(t, c)
-    gs = hom_basis(c, t)
-    for g in gs:
-        for f in fs:
-            u = g.compose(f)
-            if not u.is_invertible():
-                continue
-            u_inv = Morphism(t, t, {v: solve(u.components[v],
-                                             Mat.identity(t.dims[v]))
-                                    for v in t.algebra.vertices}, validate=False)
-            e = f.compose(u_inv).compose(g)
-            complement, _ = kernel(e)
-            return complement
+    _, gs, p = _trace_pairing(t, c)
+    for row in p.entries:
+        for g, entry in zip(gs, row):
+            if entry != 0:
+                return kernel(g)[0]
     return None
 
 
 def in_add_of(m: Representation, classes) -> bool:
-    """Whether m lies in add(classes); members must be indecomposable.
+    """Whether m lies in add(classes).
 
-    Splits off copies of the classes until nothing is left (membership)
-    or nothing splits (failure); complete because a nonzero remainder
-    with no splittable class has a summand outside every class.
+    The classes must be pairwise non-isomorphic indecomposables; then m is
+    in add(classes) iff their multiplicities account for all of dim m.
     """
-    current = m
-    while not current.is_zero():
-        for t in classes:
-            nxt = split_off_summand(current, t)
-            if nxt is not None:
-                current = nxt
-                break
-        else:
-            return False
-    return True
+    return sum(multiplicity(t, m) * t.total_dim for t in classes) == m.total_dim
 
 
-def add_equal(ms, ns, seed: int = 0) -> bool:
+def add_equal(ms, ns) -> bool:
     """add(ms) == add(ns) as sets of indecomposable summand classes."""
-    a = basic_summands([p for m in ms for p, _ in decompose(m, seed)], seed)
-    b = basic_summands([p for n in ns for p, _ in decompose(n, seed)], seed)
-    if len(a) != len(b):
-        return False
-    used = set()
-    for x in a:
-        hit = None
-        for k, y in enumerate(b):
-            if k not in used and is_isomorphic(x, y, seed)[0]:
-                hit = k
-                break
-        if hit is None:
-            return False
-        used.add(hit)
-    return True
+    a, b = summand_classes(ms), summand_classes(ns)
+    return len(a) == len(b) and all(any(same_class(x, y) for y in b) for x in a)

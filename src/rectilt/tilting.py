@@ -29,6 +29,7 @@ from .rep import (
     quotient_rep,
     regular_module,
     subrep_from_subspaces,
+    summand_classes,
 )
 
 
@@ -78,17 +79,17 @@ def is_partial_tilting(t: Representation) -> TiltingCertificate:
     return TiltingCertificate(t, proj_dim(t), ext1_dim(t, t))
 
 
-def is_tilting(t: Representation, seed: int = 0) -> TiltingCertificate:
+def is_tilting(t: Representation) -> TiltingCertificate:
     """Full tilting certificate including the coresolution condition (T3).
 
     Constructive check: the left add(T)-approximation of the regular
     module must be injective with cokernel in add(T).  The summand-count
-    criterion (#classes = #simples) is asserted to agree whenever the
+    criterion (#classes = #simples) is checked to agree whenever the
     module is partial tilting.
     """
     cert = is_partial_tilting(t)
     alg = t.algebra
-    classes = [rep for rep, _ in decompose(t, seed)]
+    classes = [rep for rep, _ in decompose(t)]
     cert.indecomposable_count = len(classes)
     cert.simple_count = len(alg.vertices)
     if t.is_zero():
@@ -153,12 +154,14 @@ def perp_member(t: Representation, m: Representation) -> bool:
 
 
 def torsion_decompose(t: Representation, m: Representation) -> SES:
-    """0 -> trace -> m -> m/trace -> 0 with both memberships asserted."""
+    """0 -> trace -> m -> m/trace -> 0 with both memberships checked."""
     tr, incl = trace(t, m)
     spans = {v: incl.components[v] for v in m.algebra.vertices}
     quot, proj = quotient_rep(m, spans)
-    assert gen_member(t, tr), "trace must lie in Gen T"
-    assert perp_member(t, quot), "quotient must lie in T-perp (is T tilting?)"
+    if not gen_member(t, tr):
+        raise RectiltError("trace must lie in Gen T")
+    if not perp_member(t, quot):
+        raise RectiltError("quotient must lie in T-perp (is T tilting?)")
     return SES(incl, proj)
 
 
@@ -219,11 +222,12 @@ def is_torsion_pair(tclass, fclass, roster: Roster) -> TorsionPairVerdict:
 
     (i) Hom(X, Y) = 0 for X in tclass, Y in fclass; (ii) every roster
     module has its trace in add(tclass) and trace-quotient in add(fclass).
+    Both classes are first reduced to their basic summand classes.
     Returns the first failing witness.
     """
     alg = roster.algebra
-    tclass = list(tclass)
-    fclass = list(fclass)
+    tclass = summand_classes(tclass)
+    fclass = summand_classes(fclass)
     for x in tclass:
         for y in fclass:
             if hom_basis(x, y):
@@ -246,7 +250,7 @@ def is_torsion_pair(tclass, fclass, roster: Roster) -> TorsionPairVerdict:
     return TorsionPairVerdict(True)
 
 
-def ext_projectives(classes, seed: int = 0) -> Representation:
+def ext_projectives(classes) -> Representation:
     """Direct sum of the Ext-projective members of a class list."""
     picked = []
     for m in classes:
@@ -257,4 +261,4 @@ def ext_projectives(classes, seed: int = 0) -> Representation:
     if not picked:
         raise ValueError("class list has no Ext-projective members")
     alg = picked[0].algebra
-    return direct_sum(alg, basic_summands(picked, seed))
+    return direct_sum(alg, basic_summands(picked))

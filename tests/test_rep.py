@@ -4,14 +4,20 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rectilt import rep as rep_module
+from rectilt.algebra import Quiver, build_algebra
 from rectilt.errors import RectiltError
+from rectilt.homology import enumerate_roster
 from rectilt.linalg import Mat, rank, solve
 from rectilt.rep import (
     SES,
     Morphism,
     Representation,
+    add_equal,
     decompose,
     direct_sum,
     direct_sum_with_maps,
@@ -21,11 +27,15 @@ from rectilt.rep import (
     identity_morphism,
     injective,
     image,
+    in_add_of,
     is_isomorphic,
     kernel,
+    multiplicity,
     projective,
     pushout,
+    same_class,
     simple,
+    split_off_summand,
     zero_morphism,
     zero_rep,
 )
@@ -271,3 +281,118 @@ def test_random_conjugates_are_isomorphic(glued):
         conj = Representation(glued, dict(p.dims), maps)
         ok, wit = is_isomorphic(p, conj)
         assert ok and wit.is_invertible()
+
+
+def test_coprime_split_check_is_an_error_not_an_assert(monkeypatch):
+    # a gcd of positive degree must still be caught under ``python -O``
+    monkeypatch.setattr(sympy.Poly, "gcdex", lambda f, g: (f.one, f.zero, f))
+    with pytest.raises(RectiltError, match="not coprime"):
+        rep_module._coprime_split([Fraction(1), Fraction(-3), Fraction(2)])
+
+
+def test_idempotent_lifting_check_is_an_error_not_an_assert(inner, monkeypatch):
+    # e = id/2 is a fixed point of the Newton step but not an idempotent
+    monkeypatch.setattr(rep_module, "_eval_poly",
+                        lambda ss, coeffs, x: [c / 2 for c in ss.one()])
+    m = direct_sum(inner, [projective(inner, "1"), projective(inner, "1")])
+    with pytest.raises(RectiltError, match="did not converge"):
+        decompose(m, 0)
+
+
+def test_repeated_simple_is_isomorphic_to_itself(inner):
+    # no basis element of End(S1 + S1) is invertible; the witness is built from the pairing
+    s1 = simple(inner, "1")
+    m = direct_sum(inner, [s1, s1])
+    assert not any(f.is_invertible() for f in hom_basis(m, m))
+    ok, wit = is_isomorphic(m, direct_sum(inner, [s1, s1]))
+    assert ok and wit.is_invertible()
+
+
+def test_split_off_summand(inner):
+    p1, s1, s2 = projective(inner, "1"), simple(inner, "1"), simple(inner, "2")
+    c = direct_sum(inner, [p1, s1, p1])
+    rest = split_off_summand(c, p1)
+    assert is_isomorphic(rest, direct_sum(inner, [s1, p1]))[0]
+    assert is_isomorphic(split_off_summand(c, s1), direct_sum(inner, [p1, p1]))[0]
+    # S2 embeds in P1 and is too small to rule out by dimensions, yet is no summand
+    assert split_off_summand(c, s2) is None
+    assert split_off_summand(s1, p1) is None
+    assert split_off_summand(c, zero_rep(inner)) is None
+
+
+def test_multiplicity_rejects_a_decomposable_class(inner):
+    # rank P(S1+S1, S1+P1) = 2 is not a multiple of dim End(S1+S1)/rad = 4
+    s1 = simple(inner, "1")
+    x = direct_sum(inner, [s1, s1])
+    with pytest.raises(RectiltError, match="not indecomposable"):
+        multiplicity(x, direct_sum(inner, [s1, projective(inner, "1")]))
+
+
+def test_same_class_and_add_equal(inner):
+    p1, s1, s2 = projective(inner, "1"), simple(inner, "1"), simple(inner, "2")
+    # P1 and S1 + S2 share a dimension vector; S1 is a summand of S1 + S2
+    assert not same_class(p1, direct_sum(inner, [s1, s2]))
+    assert not same_class(s1, direct_sum(inner, [s1, s2]))
+    assert same_class(p1, injective(inner, "2"))
+    assert add_equal([direct_sum(inner, [p1, s1, p1])], [s1, p1])
+    assert not add_equal([p1, s1], [p1])
+    assert not add_equal([p1, s1], [p1, s2])
+
+
+# -- differential test of the trace-pairing criterion --------------------------
+
+@pytest.fixture(scope="module")
+def rosters(glued):
+    a4 = build_algebra(Quiver(["1", "2", "3", "4"],
+                              [("a", "1", "2"), ("b", "2", "3"), ("c", "3", "4")]), [])
+    return [enumerate_roster(glued), enumerate_roster(a4)]
+
+
+def _simple_factors(m):
+    return [simple(m.algebra, v) for v in m.algebra.vertices for _ in range(m.dims[v])]
+
+
+def _random_conjugate(m, rng):
+    g = {}
+    for v in m.algebra.vertices:
+        n = m.dims[v]
+        while True:
+            cand = Mat(n, n, [[Fraction(rng.randint(-2, 2)) for _ in range(n)]
+                              for _ in range(n)])
+            if rank(cand) == n:
+                break
+        g[v] = cand
+    maps = {a.name: g[a.target] @ m.maps[a.name]
+            @ solve(g[a.source], Mat.identity(m.dims[a.source]))
+            for a in m.algebra.arrows}
+    return Representation(m.algebra, dict(m.dims), maps)
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(st.data())
+def test_trace_pairing_decides_summands(rosters, data):
+    roster = rosters[data.draw(st.integers(0, 1), label="algebra")]
+    mods = roster.modules
+    picks = data.draw(st.lists(st.integers(0, len(mods) - 1), min_size=1, max_size=5),
+                      label="picks")
+    alg = roster.algebra
+    m = direct_sum(alg, [mods[i] for i in picks])
+    for i, x in enumerate(mods):
+        assert multiplicity(x, m) == picks.count(i)
+    support = [mods[i] for i in sorted(set(picks))]
+    assert in_add_of(m, support)
+    for k in range(len(support)):
+        assert not in_add_of(m, support[:k] + support[k + 1:])
+
+    conj = _random_conjugate(m, random.Random(data.draw(st.integers(0, 2 ** 16), label="g")))
+    ok, wit = is_isomorphic(m, conj)
+    assert ok and wit.is_invertible()
+    Morphism(m, conj, wit.components)  # checks that the witness intertwines
+
+    nonsimple = [x for x in mods if x.total_dim > 1]
+    x = nonsimple[data.draw(st.integers(0, len(nonsimple) - 1), label="x")]
+    # equal dimension vectors, different multisets of summands
+    with_x = direct_sum(alg, [mods[i] for i in picks] + [x])
+    with_factors = direct_sum(alg, [mods[i] for i in picks] + _simple_factors(x))
+    assert not is_isomorphic(with_x, with_factors)[0]
+    assert not is_isomorphic(with_factors, with_x)[0]

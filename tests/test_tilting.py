@@ -2,6 +2,7 @@
 
 import pytest
 
+from rectilt.errors import RectiltError
 from rectilt.homology import enumerate_roster
 from rectilt.rep import (
     direct_sum,
@@ -180,6 +181,22 @@ def test_is_torsion_pair_case_four(outer, outer_roster):
 
 def test_whole_roster_with_empty_free_class(inner, inner_roster):
     assert is_torsion_pair(inner_roster.modules, [], inner_roster).holds
+
+
+def test_is_torsion_pair_drops_repeated_classes(outer, outer_roster):
+    # add-membership counts multiplicities, so a repeated class must not count twice
+    tclass = [by_dims(outer_roster, d) for d in
+              [(0, 1, 0), (0, 1, 1), (1, 1, 0), (1, 0, 0)]]
+    fclass = [by_dims(outer_roster, (0, 0, 1))]
+    assert is_torsion_pair(tclass + tclass[::-1], fclass * 2, outer_roster).holds
+
+
+def test_torsion_decompose_check_is_an_error_not_an_assert(inner):
+    # S1 + S2 is not tilting: the trace of it in P(1) is S(2), the quotient S(1)
+    # is not in T-perp, and that must still be caught under ``python -O``
+    t = direct_sum(inner, [simple(inner, "1"), simple(inner, "2")])
+    with pytest.raises(RectiltError, match="T-perp"):
+        torsion_decompose(t, projective(inner, "1"))
 
 
 # -- Ext-projectives -------------------------------------------------------------
