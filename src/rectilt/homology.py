@@ -344,8 +344,14 @@ def tensor_dim(nright: Representation, x: Representation) -> int:
 
 def tensor_map(nright: Representation, f: Morphism):
     """(dim_src, dim_tgt, matrix of N (x) f)."""
-    dsrc, psrc, off_src, tot_src = tensor_dim_data(nright, f.source)
-    dtgt, ptgt, off_tgt, tot_tgt = tensor_dim_data(nright, f.target)
+    return tensor_map_between(nright, f, tensor_dim_data(nright, f.source),
+                              tensor_dim_data(nright, f.target))
+
+
+def tensor_map_between(nright: Representation, f: Morphism, src_data, tgt_data):
+    """``tensor_map`` given ``tensor_dim_data`` of f's source and of its target."""
+    dsrc, psrc, off_src, tot_src = src_data
+    dtgt, ptgt, off_tgt, tot_tgt = tgt_data
     big = [[Fraction(0)] * tot_src for _ in range(tot_tgt)]
     for v in f.source.algebra.vertices:
         nv = nright.dims[v]

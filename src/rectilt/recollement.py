@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .algebra import BoundQuiverAlgebra, Quiver, build_algebra
 from .errors import NotTriangular, RectiltError
-from .homology import tensor_dim_data, tensor_map, tor1_right
+from .homology import tensor_dim_data, tensor_map_between, tor1_right
 from .linalg import Mat, col_basis, solve
 from .rep import (
     Morphism,
@@ -216,7 +216,8 @@ def j_shriek(ctx: RecollementContext, y: Representation) -> Representation:
             continue
         if a.source in ctx._inner_set:
             phi = _left_multiplication(alg, a, lifts[a.source], lifts[a.target])
-            maps[a.name] = tensor_map(y, phi)[2]
+            maps[a.name] = tensor_map_between(y, phi, lifts[a.source][2],
+                                              lifts[a.target][2])[2]
         else:
             # a sends y_q to the class of (a) (x) y_q: a column of the projection
             _, paths, (_, proj, offsets, _) = lifts[a.target]

@@ -632,6 +632,17 @@ def _eval_poly(ss: _Semisimple, coeffs, x):
     return acc
 
 
+def _split_candidates(dim: int, seed: int):
+    """The unit vectors of End/rad, then 64 seeded draws, made only as they are tried."""
+    for k in range(dim):
+        unit = [Fraction(0)] * dim
+        unit[k] = Fraction(1)
+        yield unit
+    rng = random.Random(seed)
+    for _ in range(64):
+        yield [Fraction(rng.randint(-3, 3)) for _ in range(dim)]
+
+
 def _split_once(m: Representation, seed: int):
     """One nontrivial direct-summand split of m, or None if indecomposable.
 
@@ -642,15 +653,7 @@ def _split_once(m: Representation, seed: int):
     ss = _Semisimple(ring)
     if ss.dim <= 1:
         return None
-    candidates = []
-    for k in range(ss.dim):
-        unit = [Fraction(0)] * ss.dim
-        unit[k] = Fraction(1)
-        candidates.append(unit)
-    rng = random.Random(seed)
-    for _ in range(64):
-        candidates.append([Fraction(rng.randint(-3, 3)) for _ in range(ss.dim)])
-    for x in candidates:
+    for x in _split_candidates(ss.dim, seed):
         if all(c == 0 for c in x):
             continue
         mu = _min_poly(ss, x)
@@ -709,8 +712,17 @@ def multiplicity(x: Representation, m: Representation) -> int:
     rank P(x, m) = mult * dim End(x)/rad and rank P(x, x) = dim End(x)/rad;
     a division that is not exact means x is not indecomposable.
     """
+    return _multiplicity(x, m, _unit_rank(x))
+
+
+def _unit_rank(x: Representation) -> int:
+    """rank P(x, x) = dim End(x)/rad for x indecomposable."""
+    return rank(_trace_pairing(x, x)[2])
+
+
+def _multiplicity(x: Representation, m: Representation, unit: int) -> int:
+    """``multiplicity`` given ``unit`` = rank P(x, x)."""
     whole = rank(_trace_pairing(x, m)[2])
-    unit = rank(_trace_pairing(x, x)[2])
     if unit == 0 or whole % unit:
         raise RectiltError(f"pairing rank {whole} is not a multiple of {unit}: not indecomposable")
     return whole // unit
@@ -728,8 +740,13 @@ def is_isomorphic(m: Representation, n: Representation):
     have rank k.  Its pivot rows and those columns of P(x, m) give f_a: x -> n
     and g_a: m -> x independent modulo the radical; the sum of the f_a o g_a
     is invertible.
+
+    A negative names its witness: the first class of m whose rank in n
+    differs, as ``{"class_dims", "multiplicity_in_m", "rank_in_n"}``, or,
+    when every class of m occurs in n as often, both dimension vectors as
+    ``{"dims_m", "dims_n"}``.  Modules over different algebras give None.
     """
-    if m.algebra is not n.algebra or m.dims != n.dims:
+    if m.algebra is not n.algebra:
         return False, None
     witness = zero_morphism(m, n)
     for x, k in decompose(m):
@@ -737,9 +754,12 @@ def is_isomorphic(m: Representation, n: Representation):
         _, gs, p_m = _trace_pairing(x, m)
         rows = rref(p_n.transpose())[1]
         if len(rows) != k:
-            return False, None
+            return False, {"class_dims": x.to_json()["dims"],
+                           "multiplicity_in_m": k, "rank_in_n": len(rows)}
         for a, b in zip(rows, rref(p_m)[1]):
             witness = witness.add(fs[a].compose(gs[b]))
+    if m.dims != n.dims:
+        return False, {"dims_m": m.to_json()["dims"], "dims_n": n.to_json()["dims"]}
     if not witness.is_invertible():
         raise RectiltError("multiplicities agree but the isomorphism witness is singular")
     return True, witness
@@ -782,7 +802,13 @@ def in_add_of(m: Representation, classes) -> bool:
     The classes must be pairwise non-isomorphic indecomposables; then m is
     in add(classes) iff their multiplicities account for all of dim m.
     """
-    return sum(multiplicity(t, m) * t.total_dim for t in classes) == m.total_dim
+    return _in_add(m, classes, [_unit_rank(t) for t in classes])
+
+
+def _in_add(m: Representation, classes, units) -> bool:
+    """``in_add_of`` given each class's rank P(x, x) in ``units``."""
+    return sum(_multiplicity(t, m, u) * t.total_dim
+               for t, u in zip(classes, units)) == m.total_dim
 
 
 def add_equal(ms, ns) -> bool:

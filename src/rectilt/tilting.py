@@ -2,9 +2,21 @@
 
 A tilting module is certified by the three classical conditions: pd <= 1,
 no self-extensions, and a two-term coresolution of the regular module by
-add(T).  The third is checked constructively (build the approximation,
-decompose its cokernel) and against the summand-count criterion; the two
-verdicts must agree for a partial tilting module.
+add(T).  The third is checked constructively and against the
+summand-count criterion; the two verdicts must agree for a partial
+tilting module.
+
+The construction takes each projective P(v) to its minimal left
+add(T)-approximation (Auslander-Smalo).  Hom(P(v), X) = X_v, and a map
+P(v) -> T_i is needed in the approximation only modulo those that factor
+through a radical map into T_i: all of Hom(T_j, T_i) for j != i and rad
+End(T_i).  Their images at v span R_i(v), so the approximation sends P(v)
+to T_i once per vector of a complement of R_i(v) in (T_i)_v.  Any other
+left approximation is this one plus a split summand 0 -> T' with T' in
+add(T), so injectivity and "cokernel in add(T)" give the same verdicts
+as the non-minimal P(v) -> T^{dim Hom(P(v), T)}, on far smaller
+cokernels.  Were End(T_i)/rad larger than Q, the map would no longer be
+minimal but still an approximation, since rad(add T) is nilpotent.
 """
 
 from __future__ import annotations
@@ -13,16 +25,19 @@ from dataclasses import dataclass, field
 
 from .errors import RectiltError
 from .homology import Roster, ext1_dim, proj_dim
-from .linalg import Mat
+from .linalg import Mat, kernel_basis, rank, rref
 from .rep import (
     Morphism,
     Representation,
     SES,
+    _in_add,
+    _pairing_matrix,
     basic_summands,
     cokernel,
     decompose,
     direct_sum,
     hom_basis,
+    hom_from_projective,
     in_add_of,
     injective,
     projective,
@@ -30,6 +45,7 @@ from .rep import (
     regular_module,
     subrep_from_subspaces,
     summand_classes,
+    zero_morphism,
 )
 
 
@@ -82,8 +98,12 @@ def is_partial_tilting(t: Representation) -> TiltingCertificate:
 def is_tilting(t: Representation) -> TiltingCertificate:
     """Full tilting certificate including the coresolution condition (T3).
 
-    Constructive check: the left add(T)-approximation of the regular
-    module must be injective with cokernel in add(T).  The summand-count
+    Constructive check: the minimal left add(T)-approximation of each
+    projective P(v) must be injective with cokernel in add(T).  Any left
+    approximation differs from the minimal one by a split summand in
+    add(T), so the verdict is the one the non-minimal approximation gives;
+    ``t3_sequence_dims`` records the minimal coresolution 0 -> A -> T0 ->
+    T1 -> 0 (for T = A it is (dim A, dim A, 0)).  The summand-count
     criterion (#classes = #simples) is checked to agree whenever the
     module is partial tilting.
     """
@@ -95,27 +115,20 @@ def is_tilting(t: Representation) -> TiltingCertificate:
     if t.is_zero():
         cert.t3_constructive = alg.dimension == 0
         return cert
+    units, radical_spans = _class_radicals(classes)
     # approximate each projective separately; the sequences add up
     verdict = True
     mid_dims = []
     cok_dims = []
     for v in alg.vertices:
-        pv = projective(alg, v)
-        approx_basis = hom_basis(pv, t)
-        power = direct_sum(alg, [t] * len(approx_basis))
-        comps = {}
-        for w in alg.vertices:
-            blocks = [f.components[w] for f in approx_basis]
-            comps[w] = Mat.vstack(blocks, cols=pv.dims[w]) if blocks \
-                else Mat.zeros(0, pv.dims[w])
-        approx = Morphism(pv, power, comps)
+        approx = _left_approximation(v, classes, radical_spans)
         if not approx.is_injective():
             verdict = False
             break
         cok, _ = cokernel(approx)
-        mid_dims.append(power.dim_vector())
+        mid_dims.append(approx.target.dim_vector())
         cok_dims.append(cok.dim_vector())
-        if not in_add_of(cok, classes):
+        if not _in_add(cok, classes, units):
             verdict = False
             break
     cert.t3_constructive = verdict
@@ -129,6 +142,49 @@ def is_tilting(t: Representation) -> TiltingCertificate:
             raise RectiltError(
                 "internal error: (T3) construction and summand count disagree")
     return cert
+
+
+def _class_radicals(classes):
+    """(units, spans): rank P(T_i, T_i) and R_i(v) as columns, per class and vertex.
+
+    R_i(v) is spanned by the images at v of Hom(T_j, T_i), j != i, and of
+    rad End(T_i), the kernel of the trace form on End(T_i) (Dickson).
+    """
+    units, spans = [], []
+    for i, x in enumerate(classes):
+        ends = hom_basis(x, x)
+        gram = _pairing_matrix(ends, ends)
+        units.append(rank(gram))
+        rad = kernel_basis(gram)
+        radical = []
+        for c in range(rad.cols):
+            f = zero_morphism(x, x)
+            for k, e in enumerate(ends):
+                if rad[k, c] != 0:
+                    f = f.add(e.scale(rad[k, c]))
+            radical.append(f)
+        radical += [g for j, y in enumerate(classes) if j != i for g in hom_basis(y, x)]
+        spans.append({v: Mat.hstack([g.components[v] for g in radical], rows=x.dims[v])
+                      for v in x.algebra.vertices})
+    return units, spans
+
+
+def _left_approximation(v, classes, radical_spans) -> Morphism:
+    """P(v) -> sum of T_i, once per unit vector off the pivots of R_i(v)."""
+    alg = classes[0].algebra
+    legs = []
+    for x, span in zip(classes, radical_spans):
+        pivots = set(rref(span[v].transpose())[1])
+        for k in range(x.dims[v]):
+            if k not in pivots:
+                unit = [0] * x.dims[v]
+                unit[k] = 1
+                legs.append(hom_from_projective(alg, v, x, unit))
+    pv = projective(alg, v)
+    target = direct_sum(alg, [f.target for f in legs])
+    comps = {w: Mat.vstack([f.components[w] for f in legs], cols=pv.dims[w])
+             for w in alg.vertices}
+    return Morphism(pv, target, comps, validate=False)
 
 
 # -- trace and membership ----------------------------------------------------

@@ -230,6 +230,14 @@ def test_decompose_seed_stability(inner, outer):
             assert is_isomorphic(p0, p1)[0]
 
 
+def test_split_candidates_keep_their_order():
+    # units first, then the seeded draws: the order decompose has always tried
+    rng = random.Random(5)
+    units = [[Fraction(int(i == k)) for i in range(3)] for k in range(3)]
+    draws = [[Fraction(rng.randint(-3, 3)) for _ in range(3)] for _ in range(64)]
+    assert list(rep_module._split_candidates(3, 5)) == units + draws
+
+
 @pytest.mark.parametrize("failing_call, message", [
     (1, "not closed under composition"),
     (2, "identity is not in the span"),
@@ -259,6 +267,15 @@ def test_identity_isomorphism(inner):
 
 def test_different_simples_not_isomorphic(inner):
     assert not is_isomorphic(simple(inner, "1"), simple(inner, "2"))[0]
+
+
+def test_negative_isomorphism_names_its_witness(inner):
+    s1, s2 = simple(inner, "1"), simple(inner, "2")
+    assert is_isomorphic(direct_sum(inner, [s1, s2]), direct_sum(inner, [s1, s1])) == (
+        False, {"class_dims": {"1": 0, "2": 1}, "multiplicity_in_m": 1, "rank_in_n": 0})
+    # every class of S1 occurs once in S1 + S2; only the dimensions tell them apart
+    assert is_isomorphic(s1, direct_sum(inner, [s1, s2])) == (
+        False, {"dims_m": {"1": 1, "2": 0}, "dims_n": {"1": 1, "2": 1}})
 
 
 def test_random_conjugates_are_isomorphic(glued):

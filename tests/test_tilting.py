@@ -1,11 +1,22 @@
 """Tilting certificates and torsion machinery on the fixture algebras."""
 
+import itertools
+import random
+
 import pytest
 
+from rectilt import tilting as tilting_module
+from rectilt.algebra import Quiver, build_algebra
 from rectilt.errors import RectiltError
 from rectilt.homology import enumerate_roster
+from rectilt.linalg import Mat
 from rectilt.rep import (
+    Morphism,
+    cokernel,
+    decompose,
     direct_sum,
+    hom_basis,
+    in_add_of,
     injective,
     is_isomorphic,
     projective,
@@ -88,6 +99,82 @@ def test_partial_but_not_tilting(outer):
     cert = is_tilting(projective(outer, "5"))
     assert cert.partial_tilting
     assert not cert.tilting
+
+
+# -- the minimal approximation against P(v) -> T^{dim Hom(P(v), T)} --------------
+
+def linear_algebra(n):
+    vs = [str(k) for k in range(1, n + 1)]
+    return build_algebra(Quiver(vs, [(f"a{k}", vs[k - 1], vs[k]) for k in range(1, n)]), [])
+
+
+def reference_t3(t):
+    """(T3) from the non-minimal approximation, and each projective's middle term."""
+    alg = t.algebra
+    classes = [rep for rep, _ in decompose(t)]
+    verdict, middles = True, {}
+    for v in alg.vertices:
+        pv = projective(alg, v)
+        basis = hom_basis(pv, t)
+        power = direct_sum(alg, [t] * len(basis))
+        comps = {w: Mat.vstack([f.components[w] for f in basis], cols=pv.dims[w])
+                 for w in alg.vertices}
+        approx = Morphism(pv, power, comps)
+        middles[v] = power.dim_vector()
+        if verdict and not (approx.is_injective()
+                            and in_add_of(cokernel(approx)[0], classes)):
+            verdict = False
+    return verdict, middles
+
+
+def differential_inputs(glued):
+    a3, a4 = linear_algebra(3), linear_algebra(4)
+    rng = random.Random(11)
+    picks = [(a3, s) for k in range(1, 7)
+             for s in itertools.combinations(enumerate_roster(a3).modules, k)]
+    # random sums rarely satisfy (T3); A plus any roster module always does
+    for alg, count in ((a4, 6), (glued, 4)):
+        mods = enumerate_roster(alg).modules
+        projectives = [projective(alg, v) for v in alg.vertices]
+        picks += [(alg, rng.sample(mods, rng.randint(2, 5))) for _ in range(count)]
+        picks += [(alg, projectives + [m]) for m in rng.sample(mods, 2)]
+    picks.append((glued, [injective(glued, v) for v in glued.vertices]))
+    return [direct_sum(alg, mods) for alg, mods in picks]
+
+
+def test_minimal_approximation_matches_reference(glued, monkeypatch):
+    built = []
+    approximate = tilting_module._left_approximation
+
+    def recording(v, classes, spans):
+        f = approximate(v, classes, spans)
+        built.append((v, f.target.dim_vector()))
+        return f
+
+    monkeypatch.setattr(tilting_module, "_left_approximation", recording)
+    for t in differential_inputs(glued):
+        want, middles = reference_t3(t)
+        built.clear()
+        assert is_tilting(t).t3_constructive == want, t.to_json()
+        assert built
+        for v, mid in built:
+            assert all(a <= b for a, b in zip(mid, middles[v])), (t.to_json(), v)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_regular_module_coresolves_itself(n):
+    alg = linear_algebra(n)
+    dims = regular_module(alg).dim_vector()
+    cert = is_tilting(regular_module(alg))
+    assert cert.t3_sequence_dims == (dims, dims, (0,) * n)
+
+
+def test_injective_cogenerator_coresolution():
+    # 0 -> P(v) -> I(4) -> I(v-1) -> 0 for linear A_4, with I(0) = 0
+    alg = linear_algebra(4)
+    cert = is_tilting(direct_sum(alg, [injective(alg, v) for v in alg.vertices]))
+    assert cert.tilting
+    assert cert.t3_sequence_dims == ((1, 2, 3, 4), (4, 4, 4, 4), (3, 2, 1, 0))
 
 
 # -- trace and membership ---------------------------------------------------
