@@ -61,13 +61,9 @@ class Quiver:
             if a.source not in vset or a.target not in vset:
                 raise ValueError(f"arrow {a.name} has undeclared endpoint")
         self._arrow_by_name = {a.name: a for a in self.arrows}
-        self._vertex_index = {v: i for i, v in enumerate(self.vertices)}
 
     def arrow(self, name: str) -> Arrow:
         return self._arrow_by_name[name]
-
-    def vertex_index(self, v: str) -> int:
-        return self._vertex_index[v]
 
     def path_target(self, path: Path) -> str:
         t = path.source
@@ -154,9 +150,6 @@ class BoundQuiverAlgebra:
     def arrows(self):
         return self.quiver.arrows
 
-    def basis_source(self, i: int) -> str:
-        return self.basis[i].source
-
     def basis_target(self, i: int) -> str:
         return self._targets[i]
 
@@ -166,9 +159,6 @@ class BoundQuiverAlgebra:
     def arrow_index(self, name: str) -> int:
         """Basis index of an arrow; relations have length >= 2, so it survives."""
         return self._index[(self.quiver.arrow(name).source, (name,))]
-
-    def paths_from(self, v: str) -> list[int]:
-        return [i for i, p in enumerate(self.basis) if p.source == v]
 
     def paths_between(self, src: str, tgt: str) -> list[int]:
         return [i for i, p in enumerate(self.basis)

@@ -30,4 +30,4 @@ class HypothesisFailed(RectiltError):
 
 
 class PossibleDivisionAlgebra(RectiltError):
-    """End/rad has dimension > 1 but no splitting idempotent was found."""
+    """End/rad has dimension > 1 but no splitting element was found."""

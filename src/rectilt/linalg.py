@@ -357,11 +357,3 @@ def quotient(ambient_dim: int, subspace: Mat) -> tuple[int, Mat]:
     proj = inv.submatrix(range(rk, ambient_dim), range(ambient_dim))
     return ambient_dim - rk, proj
 
-
-def intersect_columns(a: Mat, b: Mat) -> Mat:
-    """Canonical basis of colspan(a) ∩ colspan(b)."""
-    if a.rows != b.rows:
-        raise ValueError("ambient dimensions differ")
-    k = kernel_basis(Mat.hstack([a, b], rows=a.rows))
-    top = k.submatrix(range(a.cols), range(k.cols))
-    return col_basis(a @ top)

@@ -5,10 +5,11 @@ matrix to every arrow; relation matrices are checked to vanish on
 construction, so an invalid module cannot be built.  Morphisms carry one
 matrix per vertex and are checked to intertwine the arrow actions.
 
-Decomposition follows the characteristic-zero route: radical of the
-endomorphism ring by the trace form, splitting elements found through
-minimal-polynomial factorisation, idempotents lifted through the
-radical by the cubic Newton step ``e <- 3e^2 - 2e^3``.
+Decomposition follows the characteristic-zero route: the radical of the
+endomorphism ring by the trace form, then splitting elements off it.
+The minimal polynomial of a splitting element x on M factors over Q into
+coprime prime powers p_i^e_i, and M is the direct sum of the submodules
+ker p_i^e_i(x), so no idempotent has to be built.
 
 One criterion decides summand classes: the trace pairing P(x, m)[i][j] =
 tr(g_j o f_i) of the bases f of Hom(x, m) and g of Hom(m, x).  Traces kill
@@ -482,218 +483,108 @@ def hom_from_projective(algebra: BoundQuiverAlgebra, v: str, m: Representation,
     return Morphism(pv, m, comps)
 
 
-# -- endomorphism rings and decomposition --------------------------------
+# -- decomposition ---------------------------------------------------------
 
 
-class _EndRing:
-    """End(M) with multiplication table, trace-form radical and semisimple quotient."""
+def _min_poly(x: Morphism):
+    """Monic minimal polynomial of the endomorphism x of M, highest degree first.
 
-    def __init__(self, m: Representation):
-        self.module = m
-        self.basis = hom_basis(m, m)
-        self.dim = len(self.basis)
-        if self.dim == 0:
-            return
-        cols = [flatten_morphism(f) for f in self.basis]
-        n = len(cols[0])
-        self.bmat = Mat(n, self.dim, [[cols[j][i] for j in range(self.dim)] for i in range(n)])
-        prods = []
-        for f in self.basis:
-            for g in self.basis:
-                prods.append(flatten_morphism(f.compose(g)))
-        rhs = Mat(n, len(prods), [[prods[j][i] for j in range(len(prods))] for i in range(n)])
-        coords = solve(self.bmat, rhs)
-        if coords is None:
-            raise RectiltError("End(M) is not closed under composition")
-        d = self.dim
-        self.table = [[[coords[k, i * d + j] for k in range(d)] for j in range(d)]
-                      for i in range(d)]
-        ident = solve(self.bmat, Mat.column(flatten_morphism(identity_morphism(m))))
-        if ident is None:
-            raise RectiltError("the identity is not in the span of the End(M) basis")
-        self.one = [ident[k, 0] for k in range(d)]
-
-    def multiply(self, x, y):
-        d = self.dim
-        out = [Fraction(0)] * d
-        for i in range(d):
-            if x[i] == 0:
-                continue
-            for j in range(d):
-                if y[j] == 0:
-                    continue
-                c = x[i] * y[j]
-                tab = self.table[i][j]
-                for k in range(d):
-                    if tab[k] != 0:
-                        out[k] += c * tab[k]
-        return out
-
-    def radical(self) -> Mat:
-        """Basis (columns) of rad End: the kernel of the Gram matrix of tr(xy) on M.
-
-        End(M) acts faithfully on M, so this is Dickson's criterion.
-        """
-        return kernel_basis(_pairing_matrix(self.basis, self.basis))
-
-    def to_morphism(self, coords) -> Morphism:
-        f = zero_morphism(self.module, self.module)
-        for c, b in zip(coords, self.basis):
-            if c != 0:
-                f = f.add(b.scale(c))
-        return f
-
-
-class _Semisimple:
-    """End/rad in complement coordinates, with induced multiplication."""
-
-    def __init__(self, ring: _EndRing):
-        self.ring = ring
-        rad = ring.radical()
-        self.rad_dim = rad.cols
-        d = ring.dim
-        pivots = set()
-        if rad.cols:
-            _, piv = rref(rad.transpose())
-            pivots = set(piv)
-        self.comp = [i for i in range(d) if i not in pivots]
-        self.dim = len(self.comp)
-        basis_cols = [rad.col(j) for j in range(rad.cols)]
-        for i in self.comp:
-            unit = [Fraction(0)] * d
-            unit[i] = Fraction(1)
-            basis_cols.append(unit)
-        self.change = Mat(d, d, [[basis_cols[k][i] for k in range(d)] for i in range(d)])
-
-    def project(self, coords):
-        sol = solve(self.change, Mat.column(coords))
-        if sol is None:
-            raise RectiltError("End/rad change of basis is not invertible")
-        return [sol[self.rad_dim + k, 0] for k in range(self.dim)]
-
-    def lift(self, s_coords):
-        d = self.ring.dim
-        out = [Fraction(0)] * d
-        for k, i in enumerate(self.comp):
-            out[i] = s_coords[k]
-        return out
-
-    def multiply(self, x, y):
-        return self.project(self.ring.multiply(self.lift(x), self.lift(y)))
-
-    def one(self):
-        return self.project(self.ring.one)
-
-
-def _min_poly(ss: _Semisimple, x):
-    """Monic minimal polynomial of x in End/rad, as a Fraction coeff list.
-
-    Coefficients are returned highest degree first.
+    The first linear dependency among the flattened powers x^0, x^1, ...;
+    its degree is at most dim M, so needing more than dim M + 1 powers is
+    an error.
     """
-    powers = [ss.one()]
-    current = ss.one()
-    while True:
-        current = ss.multiply(current, x)
+    m = x.source
+    current = identity_morphism(m)
+    powers = [flatten_morphism(current)]
+    while len(powers) <= m.total_dim:
+        current = x.compose(current)
+        flat = flatten_morphism(current)
         k = len(powers)
-        cols = Mat(ss.dim, k, [[powers[j][i] for j in range(k)] for i in range(ss.dim)])
-        sol = solve(cols, Mat.column(current))
+        sol = solve(Mat.from_rows(powers).transpose(), Mat.column(flat))
         if sol is not None:
-            coeffs = [Fraction(1)] + [-sol[k - 1 - i, 0] for i in range(k)]
-            return coeffs
-        powers.append(current)
+            return [Fraction(1)] + [-sol[k - 1 - i, 0] for i in range(k)]
+        powers.append(flat)
+    raise RectiltError(f"no minimal polynomial within {len(powers)} powers of an "
+                       f"endomorphism of a module of dimension {m.total_dim}")
 
 
-def _coprime_split(coeffs):
-    """Split a min poly into two coprime factors over Q, or None."""
+def _primary_factors(coeffs):
+    """The prime-power factors p^e of a polynomial over Q, as coefficient lists."""
     t = sympy.Symbol("t")
     poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in coeffs],
                       t, domain="QQ")
-    _, factors = poly.factor_list()
-    if len(factors) < 2:
-        return None
-    f = factors[0][0] ** factors[0][1]
-    g = sympy.Poly(1, t, domain="QQ")
-    for base, mult in factors[1:]:
-        g = g * base ** mult
-    s, _, h = f.gcdex(g)
-    if h.degree() != 0:
-        raise RectiltError("minimal-polynomial factors are not coprime")
-    s = s * sympy.Poly(sympy.Rational(1) / h.LC(), t, domain="QQ")
-    e_poly = (s * f) % (f * g)
-    return [Fraction(int(c.p), int(c.q)) for c in e_poly.all_coeffs()]
+    return [[Fraction(int(c.p), int(c.q)) for c in (base ** mult).all_coeffs()]
+            for base, mult in poly.factor_list()[1]]
 
 
-def _eval_poly(ss: _Semisimple, coeffs, x):
-    acc = [Fraction(0)] * ss.dim
+def _eval_poly(coeffs, x: Morphism) -> Morphism:
+    """The endomorphism coeffs(x), by Horner's rule."""
+    one = identity_morphism(x.source)
+    acc = zero_morphism(x.source, x.source)
     for c in coeffs:
-        acc = ss.multiply(acc, x)
-        one = ss.one()
-        acc = [a + c * o for a, o in zip(acc, one)]
+        acc = x.compose(acc).add(one.scale(c))
     return acc
 
 
-def _split_candidates(dim: int, seed: int):
-    """The unit vectors of End/rad, then 64 seeded draws, made only as they are tried."""
+def _split_candidates(dim: int):
+    """The unit vectors of End/rad, then 64 fixed draws, made only as they are tried."""
     for k in range(dim):
         unit = [Fraction(0)] * dim
         unit[k] = Fraction(1)
         yield unit
-    rng = random.Random(seed)
+    rng = random.Random(0)
     for _ in range(64):
         yield [Fraction(rng.randint(-3, 3)) for _ in range(dim)]
 
 
-def _split_once(m: Representation, seed: int):
-    """One nontrivial direct-summand split of m, or None if indecomposable.
+def _split_once(m: Representation):
+    """The primary pieces of m under one endomorphism, or None if indecomposable.
 
-    Raises PossibleDivisionAlgebra when End/rad has dimension > 1 but no
-    candidate element yields a coprime minimal-polynomial split.
+    A candidate x is a combination of the End(m) basis elements off the
+    pivots of the trace-form radical, which span a complement of it.  If
+    its minimal polynomial on m has prime-power factors p_1^e_1, ...,
+    p_r^e_r with r >= 2, then m is the direct sum of the submodules
+    ker p_i^e_i(x) (Fitting).  rad End(m) is nilpotent, so these factors
+    are those of x in End/rad, and a split exists iff End/rad is not a
+    division algebra.  Raises PossibleDivisionAlgebra when End/rad has
+    dimension > 1 but no candidate splits.
     """
-    ring = _EndRing(m)
-    ss = _Semisimple(ring)
-    if ss.dim <= 1:
+    basis = hom_basis(m, m)
+    rad = kernel_basis(_pairing_matrix(basis, basis))
+    pivots = set(rref(rad.transpose())[1]) if rad.cols else set()
+    comp = [f for i, f in enumerate(basis) if i not in pivots]
+    if len(comp) <= 1:
         return None
-    for x in _split_candidates(ss.dim, seed):
-        if all(c == 0 for c in x):
+    for coords in _split_candidates(len(comp)):
+        if all(c == 0 for c in coords):
             continue
-        mu = _min_poly(ss, x)
-        e_coeffs = _coprime_split(mu)
-        if e_coeffs is None:
+        x = zero_morphism(m, m)
+        for c, f in zip(coords, comp):
+            if c != 0:
+                x = x.add(f.scale(c))
+        factors = _primary_factors(_min_poly(x))
+        if len(factors) < 2:
             continue
-        e_bar = _eval_poly(ss, e_coeffs, x)
-        if all(c == 0 for c in e_bar) or e_bar == ss.one():
-            continue
-        e = ring.to_morphism(ss.lift(e_bar))
-        for _ in range(64):
-            e2 = e.compose(e)
-            if e2 == e:
-                break
-            # Newton step doubles the radical-power accuracy
-            e = e2.scale(3).add(e2.compose(e).scale(-2))
-        else:
-            raise RectiltError("idempotent lifting did not converge")
-        img, _ = image(e)
-        ker, _ = kernel(e)
-        if img.total_dim == 0 or ker.total_dim == 0:
-            continue
-        return img, ker
+        pieces = [kernel(_eval_poly(p, x))[0] for p in factors]
+        if any(sum(piece.dims[v] for piece in pieces) != d for v, d in m.dims.items()):
+            raise RectiltError("the primary kernels of an endomorphism do not add up to M")
+        return pieces
     raise PossibleDivisionAlgebra(
-        f"End/rad has dimension {ss.dim} but no splitting element was found")
+        f"End/rad has dimension {len(comp)} but no splitting element was found")
 
 
-def _indecomposable_summands(m: Representation, seed: int) -> list[Representation]:
+def _indecomposable_summands(m: Representation) -> list[Representation]:
     if m.total_dim == 0:
         return []
-    split = _split_once(m, seed)
-    if split is None:
+    pieces = _split_once(m)
+    if pieces is None:
         return [m]
-    a, b = split
-    return _indecomposable_summands(a, seed) + _indecomposable_summands(b, seed)
+    return [s for piece in pieces for s in _indecomposable_summands(piece)]
 
 
-def decompose(m: Representation, seed: int = 0) -> list[tuple[Representation, int]]:
+def decompose(m: Representation) -> list[tuple[Representation, int]]:
     """Krull-Schmidt decomposition: canonical (summand, multiplicity) list."""
-    pieces = _indecomposable_summands(m, seed)
+    pieces = _indecomposable_summands(m)
     pieces.sort(key=lambda r: r.canonical_key())
     grouped: list[tuple[Representation, int]] = []
     for piece in pieces:

@@ -11,7 +11,7 @@ from rectilt.algebra import (
     algebra_from_json,
     build_algebra,
 )
-from rectilt.errors import CapExceeded, RelationIllFormed
+from rectilt.errors import CapExceeded, RectiltError, RelationIllFormed
 
 
 def a2():
@@ -79,6 +79,16 @@ def test_multiply_respects_composition_convention():
     # a = e2 a e1: a * e1 = a, e1 * a = 0
     assert A.multiply(a, e1) == a
     assert A.multiply(e1, a) == {}
+
+
+def test_corrupted_product_table_is_not_associative():
+    A = a2()
+    e1 = A.trivial_index("1")
+    (ai,) = [i for i, p in enumerate(A.basis) if p.arrows == ("a",)]
+    # a * e1 = 2a breaks (a * e1) * e1 = a * (e1 * e1)
+    A._mult[(ai, e1)] = {ai: Fraction(2)}
+    with pytest.raises(RectiltError, match="not associative"):
+        A._check_associative()
 
 
 def test_beta_alpha_is_zero_in_bound_a3():

@@ -4,13 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
-import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rectilt import rep as rep_module
 from rectilt.algebra import Quiver, build_algebra
-from rectilt.errors import RectiltError
+from rectilt.errors import PossibleDivisionAlgebra, RectiltError
 from rectilt.homology import enumerate_roster
 from rectilt.linalg import Mat, rank, solve
 from rectilt.rep import (
@@ -204,7 +203,7 @@ def test_decompose_zero_module(inner):
 
 def test_decompose_block_diagonal(inner):
     m = direct_sum(inner, [projective(inner, "1"), simple(inner, "1")])
-    parts = decompose(m, 0)
+    parts = decompose(m)
     assert len(parts) == 2
     assert sorted(p.dim_vector() for p, _ in parts) == [(1, 0), (1, 1)]
     assert all(mult == 1 for _, mult in parts)
@@ -213,48 +212,60 @@ def test_decompose_block_diagonal(inner):
 def test_decompose_repeated_summand(inner):
     # End/rad is a 2x2 matrix algebra here; the splitter must crack it
     m = direct_sum(inner, [projective(inner, "1"), projective(inner, "1")])
-    parts = decompose(m, 0)
+    parts = decompose(m)
     assert len(parts) == 1
     rep, mult = parts[0]
     assert mult == 2 and rep.dim_vector() == (1, 1)
 
 
 def test_decompose_seed_stability(inner, outer):
+    # the same module, its summands given in two orders, decomposes the same way
     for alg, mods in ((inner, ["1", "2"]), (outer, ["3", "4", "5"])):
-        m = direct_sum(alg, [projective(alg, v) for v in mods]
-                       + [simple(alg, mods[0])])
-        d0 = decompose(m, 0)
-        d1 = decompose(m, 1)
+        parts = [projective(alg, v) for v in mods] + [simple(alg, mods[0])]
+        d0 = decompose(direct_sum(alg, parts))
+        d1 = decompose(direct_sum(alg, parts[::-1]))
         assert [(p.dim_vector(), k) for p, k in d0] == [(p.dim_vector(), k) for p, k in d1]
         for (p0, _), (p1, _) in zip(d0, d1):
             assert is_isomorphic(p0, p1)[0]
 
 
 def test_split_candidates_keep_their_order():
-    # units first, then the seeded draws: the order decompose has always tried
-    rng = random.Random(5)
+    # units first, then the fixed draws: the order decompose has always tried
+    rng = random.Random(0)
     units = [[Fraction(int(i == k)) for i in range(3)] for k in range(3)]
     draws = [[Fraction(rng.randint(-3, 3)) for _ in range(3)] for _ in range(64)]
-    assert list(rep_module._split_candidates(3, 5)) == units + draws
+    assert list(rep_module._split_candidates(3)) == units + draws
 
 
-@pytest.mark.parametrize("failing_call, message", [
-    (1, "not closed under composition"),
-    (2, "identity is not in the span"),
-    (3, "change of basis is not invertible"),
-])
-def test_decompose_checks_are_errors_not_asserts(inner, monkeypatch, failing_call, message):
-    # the End(M) checks must still fire under ``python -O``
-    calls = []
+def test_min_poly_loop_is_capped(inner, monkeypatch):
+    # with no linear dependency among the powers the search must stop at dim M + 1
+    monkeypatch.setattr(rep_module, "solve", lambda mat, rhs: None)
+    m = direct_sum(inner, [projective(inner, "1"), simple(inner, "1")])
+    with pytest.raises(RectiltError, match="no minimal polynomial within 4 powers"):
+        decompose(m)
 
-    def failing_solve(mat, rhs):
-        calls.append(None)
-        return None if len(calls) == failing_call else solve(mat, rhs)
 
-    monkeypatch.setattr(rep_module, "solve", failing_solve)
-    m = direct_sum(inner, [projective(inner, "1"), projective(inner, "1")])
-    with pytest.raises(RectiltError, match=message):
-        decompose(m, 0)
+def test_primary_kernels_must_add_up(inner, monkeypatch):
+    # the check must still fire under ``python -O``
+    monkeypatch.setattr(rep_module, "_eval_poly", lambda coeffs, x: zero_morphism(
+        x.source, x.source))
+    m = direct_sum(inner, [projective(inner, "1"), simple(inner, "1")])
+    with pytest.raises(RectiltError, match="do not add up"):
+        decompose(m)
+
+
+def test_division_algebra_endomorphisms_raise():
+    # Kronecker quiver 1 => 2 with a = I and b a quarter turn: End(M) = Q(i)
+    alg = build_algebra(Quiver(["1", "2"], [("a", "1", "2"), ("b", "1", "2")]), [], 10)
+    m = Representation(alg, {"1": 2, "2": 2},
+                       {"a": Mat.identity(2), "b": Mat.from_rows([[0, -1], [1, 0]])})
+    assert len(hom_basis(m, m)) == 2
+    with pytest.raises(PossibleDivisionAlgebra):
+        decompose(m)
+    # N = (Q -a-> Q) splits off first; the Q(i) piece then exhausts every candidate
+    n = Representation(alg, {"1": 1, "2": 1}, {"a": Mat.identity(1)})
+    with pytest.raises(PossibleDivisionAlgebra):
+        decompose(direct_sum(alg, [m, n]))
 
 
 # -- isomorphism --------------------------------------------------------------
@@ -298,22 +309,6 @@ def test_random_conjugates_are_isomorphic(glued):
         conj = Representation(glued, dict(p.dims), maps)
         ok, wit = is_isomorphic(p, conj)
         assert ok and wit.is_invertible()
-
-
-def test_coprime_split_check_is_an_error_not_an_assert(monkeypatch):
-    # a gcd of positive degree must still be caught under ``python -O``
-    monkeypatch.setattr(sympy.Poly, "gcdex", lambda f, g: (f.one, f.zero, f))
-    with pytest.raises(RectiltError, match="not coprime"):
-        rep_module._coprime_split([Fraction(1), Fraction(-3), Fraction(2)])
-
-
-def test_idempotent_lifting_check_is_an_error_not_an_assert(inner, monkeypatch):
-    # e = id/2 is a fixed point of the Newton step but not an idempotent
-    monkeypatch.setattr(rep_module, "_eval_poly",
-                        lambda ss, coeffs, x: [c / 2 for c in ss.one()])
-    m = direct_sum(inner, [projective(inner, "1"), projective(inner, "1")])
-    with pytest.raises(RectiltError, match="did not converge"):
-        decompose(m, 0)
 
 
 def test_repeated_simple_is_isomorphic_to_itself(inner):
