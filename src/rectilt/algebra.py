@@ -133,6 +133,7 @@ class BoundQuiverAlgebra:
         self._reduce = reduce_table  # (source, arrows) -> {basis index: coeff}
         self._index = {(p.source, p.arrows): i for i, p in enumerate(self.basis)}
         self._targets = [quiver.path_target(p) for p in self.basis]
+        self._between: dict[tuple[str, str], tuple[int, ...]] = {}
         self._mult: dict[tuple[int, int], dict[int, Fraction]] = {}
         self._opposite: BoundQuiverAlgebra | None = None
         self._build_mult_table()
@@ -160,9 +161,17 @@ class BoundQuiverAlgebra:
         """Basis index of an arrow; relations have length >= 2, so it survives."""
         return self._index[(self.quiver.arrow(name).source, (name,))]
 
-    def paths_between(self, src: str, tgt: str) -> list[int]:
-        return [i for i, p in enumerate(self.basis)
-                if p.source == src and self._targets[i] == tgt]
+    def paths_between(self, src: str, tgt: str) -> tuple[int, ...]:
+        """Basis indices of the paths src -> tgt, in basis order.
+
+        Memoized per (src, tgt): the algebra is immutable, and a tuple
+        keeps callers from changing the cached answer.
+        """
+        key = (src, tgt)
+        if key not in self._between:
+            self._between[key] = tuple(i for i, p in enumerate(self.basis)
+                                       if p.source == src and self._targets[i] == tgt)
+        return self._between[key]
 
     def path_class(self, path: Path) -> dict[int, Fraction]:
         """Expand an arbitrary quiver path over the basis."""
@@ -217,26 +226,33 @@ class BoundQuiverAlgebra:
                 raise RelationIllFormed("relation does not vanish after reduction")
 
     def _check_associative(self):
-        d = self.dimension
-        for i in range(d):
-            for j in range(d):
-                ij = self._mult.get((i, j))
-                for k in range(d):
-                    jk = self._mult.get((j, k))
-                    left: dict[int, Fraction] = {}
-                    if ij:
-                        for t, c in ij.items():
-                            for u, cu in self._mult.get((t, k), {}).items():
-                                left[u] = left.get(u, Fraction(0)) + c * cu
-                    right: dict[int, Fraction] = {}
-                    if jk:
-                        for t, c in jk.items():
-                            for u, cu in self._mult.get((i, t), {}).items():
-                                right[u] = right.get(u, Fraction(0)) + c * cu
-                    diff = {u: left.get(u, Fraction(0)) - right.get(u, Fraction(0))
-                            for u in set(left) | set(right)}
-                    if any(v != 0 for v in diff.values()):
-                        raise RectiltError(f"product table not associative at ({i},{j},{k})")
+        """(x * y) * z == x * (y * z) for all basis triples x, y, z.
+
+        A product of basis paths is zero unless they compose, so only the
+        triples with (x, y) a key of the table and z ending where y
+        starts are checked; every other triple is zero on both sides.
+        The table is built in (x, y) order, so the triple named on failure
+        is the first one in lexicographic order.
+        """
+        ending_at: dict[str, list[int]] = {v: [] for v in self.vertices}
+        for k, t in enumerate(self._targets):
+            ending_at[t].append(k)
+        for (i, j), ij in self._mult.items():
+            for k in ending_at[self.basis[j].source]:
+                jk = self._mult.get((j, k))
+                left: dict[int, Fraction] = {}
+                for t, c in ij.items():
+                    for u, cu in self._mult.get((t, k), {}).items():
+                        left[u] = left.get(u, Fraction(0)) + c * cu
+                right: dict[int, Fraction] = {}
+                if jk:
+                    for t, c in jk.items():
+                        for u, cu in self._mult.get((i, t), {}).items():
+                            right[u] = right.get(u, Fraction(0)) + c * cu
+                diff = {u: left.get(u, Fraction(0)) - right.get(u, Fraction(0))
+                        for u in set(left) | set(right)}
+                if any(v != 0 for v in diff.values()):
+                    raise RectiltError(f"product table not associative at ({i},{j},{k})")
 
     # -- opposite --------------------------------------------------------
 

@@ -99,6 +99,7 @@ def corpus():
     return {
         "algebras": {
             "lambda": glued,
+            "lambda_inner": inn,
             "inner": inner_algebra(),
             "outer": outer_algebra(),
             "product": product,
@@ -130,19 +131,19 @@ def write_corpus(directory) -> list[str]:
     directory = Path(directory)
     data = corpus()
     written = []
+    files = []
     for name, alg in data["algebras"].items():
         path = directory / f"{name}.json"
         _dump(path, alg.to_json())
         written.append(str(path))
-    module_algebra = {
-        "T_inner": "lambda.json", "T_outer_case1": "lambda.json",
-        "T_outer_case2": "lambda.json", "T_case1": "lambda.json",
-        "T_case2": "lambda.json", "T_case3": "lambda.json",
-        "T_case4": "lambda.json", "product_T_inner": "product.json",
-        "product_T_outer": "product.json",
-    }
+        files.append((path.name, alg.to_json()))
     for name, mod in data["modules"].items():
-        payload = {"algebra": module_algebra[name], **mod.to_json()}
+        # label each module with the first algebra file that describes its algebra
+        own = mod.algebra.to_json()
+        label = next((f for f, alg in files if alg == own), None)
+        if label is None:
+            raise LookupError(f"no algebra file describes the algebra of {name}")
+        payload = {"algebra": label, **mod.to_json()}
         path = directory / "modules" / f"{name}.json"
         _dump(path, payload)
         written.append(str(path))

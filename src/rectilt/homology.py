@@ -20,6 +20,7 @@ from .rep import (
     Representation,
     SES,
     cokernel,
+    direct_sum,
     direct_sum_with_maps,
     dual,
     flatten_morphism,
@@ -28,7 +29,6 @@ from .rep import (
     identity_morphism,
     kernel,
     projective,
-    projective_basis_paths,
     pushout,
     quotient_rep,
     same_class,
@@ -96,7 +96,7 @@ def projective_cover(m: Representation) -> tuple[Representation, Morphism, list[
     if not pieces:
         z = zero_rep(alg)
         return z, zero_morphism(z, m), []
-    p0, injs, _ = direct_sum_with_maps(alg, [f.source for f in pieces])
+    p0 = direct_sum(alg, [f.source for f in pieces])
     comps = {}
     for v in alg.vertices:
         blocks = [f.components[v] for f in pieces]
@@ -387,7 +387,11 @@ def transpose(m: Representation) -> Representation:
 
     Writes the presentation matrix P1 -> P0 as path-class coefficients;
     Hom(-, A) turns those right multiplications into left multiplications
-    between the dual projectives, and Tr M is the cokernel.
+    between the dual projectives, and Tr M is the cokernel of the map
+    R0 -> R1 they make up.  R0 and R1 are sums of opposite projectives,
+    one summand per summand of P0 and of P1.  Summand k of P0 and
+    summand l of P1 give one leg P_op(v_k) -> P_op(u_l), and its
+    components are written into block (l, k) of the map at each vertex.
     """
     alg = m.algebra
     opp = alg.opposite()
@@ -398,28 +402,29 @@ def transpose(m: Representation) -> Representation:
         return zero_rep(opp)
     d = pres.second_map  # P1 -> P0
 
-    def summand_offsets(verts):
+    def summand_offsets(algebra, verts):
         """Offset of each summand's block inside the stacked vertex spaces."""
         offs = []
-        running = {v: 0 for v in alg.vertices}
+        running = {v: 0 for v in algebra.vertices}
         for u in verts:
             offs.append(dict(running))
-            paths = projective_basis_paths(alg, u)
-            for w in alg.vertices:
-                running[w] += len(paths[w])
+            for w in algebra.vertices:
+                running[w] += len(algebra.paths_between(u, w))
         return offs
 
-    off0 = summand_offsets(p0_verts)
-    off1 = summand_offsets(p1_verts)
-
-    r0, _, projs0 = direct_sum_with_maps(opp, [projective(opp, v) for v in p0_verts])
-    r1, injs1, _ = direct_sum_with_maps(opp, [projective(opp, u) for u in p1_verts])
-    total_map = zero_morphism(r0, r1)
+    off0 = summand_offsets(alg, p0_verts)
+    off1 = summand_offsets(alg, p1_verts)
+    r0 = direct_sum(opp, [projective(opp, v) for v in p0_verts])
+    r1 = direct_sum(opp, [projective(opp, u) for u in p1_verts])
+    opp_off0 = summand_offsets(opp, p0_verts)
+    opp_off1 = summand_offsets(opp, p1_verts)
+    grids = {w: [[Fraction(0)] * r0.dims[w] for _ in range(r1.dims[w])]
+             for w in opp.vertices}
     for l, u in enumerate(p1_verts):
         # the generator of summand l is the trivial path, first in its block
         col = d.components[u].col(off1[l][u])
         for k, v in enumerate(p0_verts):
-            paths_vu = projective_basis_paths(alg, v)[u]
+            paths_vu = alg.paths_between(v, u)
             if not paths_vu:
                 continue
             coeffs = col[off0[k][u]: off0[k][u] + len(paths_vu)]
@@ -428,7 +433,7 @@ def transpose(m: Representation) -> Representation:
             # left multiplication by the element sum coeffs_b * b of e_u A e_v
             # is the op-morphism P_op(v) -> P_op(u) sending the generator to
             # the class of the reversed paths inside P_op(u) at vertex v
-            op_list = projective_basis_paths(opp, u)[v]
+            op_list = opp.paths_between(u, v)
             pos_of = {b: q for q, b in enumerate(op_list)}
             vec = [Fraction(0)] * len(op_list)
             for b_idx, b in enumerate(paths_vu):
@@ -437,7 +442,12 @@ def transpose(m: Representation) -> Representation:
                 for ob, c in opp.path_class(rev).items():
                     vec[pos_of[ob]] += coeffs[b_idx] * c
             leg = hom_from_projective(opp, v, projective(opp, u), vec)
-            total_map = total_map.add(injs1[l].compose(leg).compose(projs0[k]))
+            for w, block in leg.components.items():
+                r, c = opp_off1[l][w], opp_off0[k][w]
+                for i, row in enumerate(block.entries):
+                    grids[w][r + i][c: c + block.cols] = row
+    total_map = Morphism(r0, r1, {w: Mat(r1.dims[w], r0.dims[w], grid)
+                                  for w, grid in grids.items()}, validate=False)
     coker, _ = cokernel(total_map)
     return coker
 

@@ -24,8 +24,6 @@ import json
 import random
 from fractions import Fraction
 
-import sympy
-
 from .algebra import BoundQuiverAlgebra, Path
 from .errors import PossibleDivisionAlgebra, RectiltError
 from .linalg import Mat, col_basis, kernel_basis, quotient, rank, rref, solve
@@ -316,13 +314,20 @@ def _trace_pairing(x: Representation, m: Representation):
 # -- constructions ------------------------------------------------------
 
 
-def direct_sum_with_maps(algebra: BoundQuiverAlgebra, mods):
-    """Block-diagonal sum with canonical injections and projections."""
+def direct_sum(algebra: BoundQuiverAlgebra, mods) -> Representation:
+    """Block-diagonal sum, summands stacked in the order given."""
     mods = list(mods)
     dims = {v: sum(m.dims[v] for m in mods) for v in algebra.vertices}
     maps = {a.name: Mat.block_diag([m.maps[a.name] for m in mods])
             for a in algebra.arrows}
-    total = Representation(algebra, dims, maps, validate=False)
+    return Representation(algebra, dims, maps, validate=False)
+
+
+def direct_sum_with_maps(algebra: BoundQuiverAlgebra, mods):
+    """Block-diagonal sum with canonical injections and projections."""
+    mods = list(mods)
+    total = direct_sum(algebra, mods)
+    dims = total.dims
     injections, projections = [], []
     for idx, m in enumerate(mods):
         inj, proj = {}, {}
@@ -339,10 +344,6 @@ def direct_sum_with_maps(algebra: BoundQuiverAlgebra, mods):
         injections.append(Morphism(m, total, inj, validate=False))
         projections.append(Morphism(total, m, proj, validate=False))
     return total, injections, projections
-
-
-def direct_sum(algebra: BoundQuiverAlgebra, mods) -> Representation:
-    return direct_sum_with_maps(algebra, mods)[0]
 
 
 def subrep_from_subspaces(m: Representation, spans: dict) -> tuple[Representation, Morphism]:
@@ -444,11 +445,6 @@ def projective(algebra: BoundQuiverAlgebra, v: str) -> Representation:
     return cache[v]
 
 
-def projective_basis_paths(algebra: BoundQuiverAlgebra, v: str) -> dict[str, list[int]]:
-    """Algebra-basis indices that coordinatize P(v) at each vertex."""
-    return {w: algebra.paths_between(v, w) for w in algebra.vertices}
-
-
 def dual(m: Representation) -> Representation:
     """The linear dual, a representation of the opposite algebra."""
     opp = m.algebra.opposite()
@@ -467,19 +463,30 @@ def regular_module(algebra: BoundQuiverAlgebra) -> Representation:
 
 def hom_from_projective(algebra: BoundQuiverAlgebra, v: str, m: Representation,
                         vec: list[Fraction]) -> Morphism:
-    """The morphism P(v) -> m sending the trivial-path generator to ``vec``."""
+    """The morphism P(v) -> m sending the trivial-path generator to ``vec``.
+
+    The basis path p of P(v) goes to m(p) vec, pushed through p's arrow
+    matrices one at a time; paths sharing a prefix share its image.
+    """
+    if len(vec) != m.dims[v]:
+        raise ValueError(f"vector of length {len(vec)} is not in a space of dimension "
+                         f"{m.dims[v]}")
     pv = projective(algebra, v)
-    idx = projective_basis_paths(algebra, v)
-    target_col = Mat.column(vec)
+    zero = Fraction(0)
+    images = {(): [Fraction(x) for x in vec]}
+
+    def push(arrows):
+        if arrows not in images:
+            prev = push(arrows[:-1])
+            images[arrows] = [sum((c * x for c, x in zip(row, prev) if c), zero)
+                              for row in m.maps[arrows[-1]].entries]
+        return images[arrows]
+
     comps = {}
     for w in algebra.vertices:
-        cols = []
-        for b in idx[w]:
-            path = algebra.basis[b]
-            mat = m.eval_path(path)
-            cols.append((mat @ target_col).col(0))
+        cols = [push(algebra.basis[b].arrows) for b in algebra.paths_between(v, w)]
         comps[w] = Mat(m.dims[w], len(cols),
-                       [[cols[j][i] for j in range(len(cols))] for i in range(m.dims[w])])
+                       [[col[i] for col in cols] for i in range(m.dims[w])])
     return Morphism(pv, m, comps)
 
 
@@ -509,7 +516,13 @@ def _min_poly(x: Morphism):
 
 
 def _primary_factors(coeffs):
-    """The prime-power factors p^e of a polynomial over Q, as coefficient lists."""
+    """The prime-power factors p^e of a polynomial over Q, as coefficient lists.
+
+    sympy is imported here, on the first factorization: it is most of the
+    cost of importing the package, and only decomposition needs it.
+    """
+    import sympy  # noqa: PLC0415
+
     t = sympy.Symbol("t")
     poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in coeffs],
                       t, domain="QQ")

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rectilt.algebra import (
     BoundQuiverAlgebra,
@@ -156,3 +158,93 @@ def test_rename_arrows_matches_target_names():
     renamed = A.rename_arrows({"delta": "a"})
     assert renamed.dimension == A.dimension
     assert any(p.arrows == ("a",) for p in renamed.basis)
+
+
+# -- the associativity check against the exhaustive loop ----------------------------
+
+def exhaustive_associativity_failure(A):
+    """The first basis triple, over all d^3 of them, where the table is not associative."""
+    d = A.dimension
+    for i in range(d):
+        for j in range(d):
+            ij = A._mult.get((i, j), {})
+            for k in range(d):
+                jk = A._mult.get((j, k), {})
+                left, right = {}, {}
+                for t, c in ij.items():
+                    for u, cu in A._mult.get((t, k), {}).items():
+                        left[u] = left.get(u, 0) + c * cu
+                for t, c in jk.items():
+                    for u, cu in A._mult.get((i, t), {}).items():
+                        right[u] = right.get(u, 0) + c * cu
+                if any(left.get(u, 0) != right.get(u, 0) for u in set(left) | set(right)):
+                    return i, j, k
+    return None
+
+
+def composable_check_failure(A):
+    """The triple ``_check_associative`` names, or None when it passes."""
+    try:
+        A._check_associative()
+    except RectiltError as exc:
+        return tuple(int(x) for x in str(exc).split("(")[1].rstrip(")").split(","))
+    return None
+
+
+@st.composite
+def type_a_zero_relation_algebras(draw):
+    """A type A quiver on <= 6 vertices, random orientation, random length-2 zero relations."""
+    n = draw(st.integers(2, 6))
+    forward = [draw(st.booleans()) for _ in range(n - 1)]
+    arrows = [(f"x{k}", str(k), str(k + 1)) if forward[k - 1] else
+              (f"x{k}", str(k + 1), str(k)) for k in range(1, n)]
+    relations = []
+    for k in range(1, n - 1):
+        if forward[k - 1] == forward[k] and draw(st.booleans()):
+            path = (f"x{k}", f"x{k + 1}") if forward[k - 1] else (f"x{k + 1}", f"x{k}")
+            relations.append(Relation([(1, path)]))
+    return build_algebra(Quiver([str(v) for v in range(1, n + 1)], arrows), relations, 10)
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(type_a_zero_relation_algebras(), st.data())
+def test_associativity_check_agrees_with_exhaustive_loop(A, data):
+    assert composable_check_failure(A) is None
+    assert exhaustive_associativity_failure(A) is None
+    # rewrite one product with a random combination of the basis paths parallel to it
+    (i, j) = data.draw(st.sampled_from(sorted(A._mult)))
+    src, tgt = A.basis[j].source, A.basis_target(i)
+    parallel = A.paths_between(src, tgt)
+    coeffs = data.draw(st.lists(st.integers(-2, 2), min_size=len(parallel),
+                                max_size=len(parallel)))
+    A._mult[(i, j)] = {b: Fraction(c) for b, c in zip(parallel, coeffs) if c}
+    assert composable_check_failure(A) == exhaustive_associativity_failure(A)
+
+
+def test_associativity_check_agrees_on_fixture_algebras(
+        inner, outer, glued, product_algebra, mutated_algebra):
+    for A in (inner, outer, glued, product_algebra, mutated_algebra):
+        assert composable_check_failure(A) is None
+        assert exhaustive_associativity_failure(A) is None
+
+
+def test_corruption_inside_a_path_is_not_associative():
+    A = build_algebra(Quiver(["1", "2", "3"], [("x1", "1", "2"), ("x2", "2", "3")]), [], 10)
+    e2 = A.trivial_index("2")
+    x1, x2 = A.arrow_index("x1"), A.arrow_index("x2")
+    # e2 * x1 = 0 breaks (x2 * e2) * x1 = x2 * (e2 * x1); no identity at either end
+    A._mult[(e2, x1)] = {}
+    assert exhaustive_associativity_failure(A) == (x2, e2, x1)
+    with pytest.raises(RectiltError, match=rf"not associative at \({x2},{e2},{x1}\)"):
+        A._check_associative()
+
+
+def test_paths_between_is_memoized_and_matches_a_scan():
+    A = glued()
+    for s in A.vertices:
+        for t in A.vertices:
+            found = A.paths_between(s, t)
+            assert isinstance(found, tuple)
+            assert found is A.paths_between(s, t)
+            assert found == tuple(i for i, p in enumerate(A.basis)
+                                  if p.source == s and A.basis_target(i) == t)

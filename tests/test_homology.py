@@ -1,10 +1,12 @@
 """Covers, Ext/Tor, the AR translate and roster enumeration."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from rectilt import homology as homology_module
+from rectilt.algebra import Path, Quiver, Relation, build_algebra
 from rectilt.errors import CapExceeded, RectiltError
 from rectilt.homology import (
     enumerate_roster,
@@ -25,14 +27,21 @@ from rectilt.homology import (
     tor1_right,
     transpose,
 )
+from rectilt.linalg import Mat
 from rectilt.rep import (
+    Morphism,
     Representation,
+    cokernel,
     direct_sum,
+    direct_sum_with_maps,
+    dual,
     hom_dim,
+    hom_from_projective,
     injective,
     is_isomorphic,
     projective,
     simple,
+    zero_morphism,
     zero_rep,
 )
 
@@ -275,3 +284,94 @@ def test_roster_contains_projectives_and_injectives(glued):
 def test_roster_cap(glued):
     with pytest.raises(CapExceeded):
         enumerate_roster(glued, cap=7)
+
+
+# -- transpose and hom_from_projective against their full-size constructions ------------
+
+def hom_from_projective_reference(algebra, v, m, vec):
+    """P(v) -> m with each basis path's whole matrix m.eval_path(p) applied to vec."""
+    col = Mat.column(vec)
+    comps = {}
+    for w in algebra.vertices:
+        cols = [(m.eval_path(algebra.basis[b]) @ col).col(0)
+                for b in algebra.paths_between(v, w)]
+        comps[w] = Mat(m.dims[w], len(cols), [[c[i] for c in cols] for i in range(m.dims[w])])
+    return Morphism(projective(algebra, v), m, comps)
+
+
+def transpose_reference(m):
+    """Tr M with the presentation map summed from inj_l o leg o proj_k at full size."""
+    alg = m.algebra
+    opp = alg.opposite()
+    pres = min_presentation(m, with_second=True)
+    p0_verts, p1_verts = pres.cover_vertices, pres.second_vertices
+    if not p1_verts:
+        return zero_rep(opp)
+
+    def offsets(verts):
+        offs, running = [], {w: 0 for w in alg.vertices}
+        for u in verts:
+            offs.append(dict(running))
+            for w in alg.vertices:
+                running[w] += len(alg.paths_between(u, w))
+        return offs
+
+    off0, off1 = offsets(p0_verts), offsets(p1_verts)
+    r0, _, projs0 = direct_sum_with_maps(opp, [projective(opp, v) for v in p0_verts])
+    r1, injs1, _ = direct_sum_with_maps(opp, [projective(opp, u) for u in p1_verts])
+    total = zero_morphism(r0, r1)
+    for l, u in enumerate(p1_verts):
+        col = pres.second_map.components[u].col(off1[l][u])
+        for k, v in enumerate(p0_verts):
+            paths_vu = alg.paths_between(v, u)
+            coeffs = col[off0[k][u]: off0[k][u] + len(paths_vu)]
+            if not paths_vu or all(c == 0 for c in coeffs):
+                continue
+            op_list = opp.paths_between(u, v)
+            vec = [Fraction(0)] * len(op_list)
+            for c, b in zip(coeffs, paths_vu):
+                path = alg.basis[b]
+                rev = Path(alg.quiver.path_target(path), tuple(reversed(path.arrows)))
+                for ob, cb in opp.path_class(rev).items():
+                    vec[op_list.index(ob)] += c * cb
+            leg = hom_from_projective_reference(opp, v, projective(opp, u), vec)
+            total = total.add(injs1[l].compose(leg).compose(projs0[k]))
+    return cokernel(total)[0]
+
+
+def tau_inverse_reference(m):
+    tr = transpose_reference(dual(m))
+    return zero_rep(m.algebra) if tr.is_zero() else tr
+
+
+def seeded_type_a(seed):
+    """A type A quiver on 3..6 vertices with seeded orientation and zero relations."""
+    rng = random.Random(seed)
+    n = rng.randint(3, 6)
+    forward = [rng.random() < 0.5 for _ in range(n - 1)]
+    arrows = [(f"x{k}", str(k), str(k + 1)) if forward[k - 1] else
+              (f"x{k}", str(k + 1), str(k)) for k in range(1, n)]
+    relations = [Relation([((1, (f"x{k}", f"x{k + 1}") if forward[k - 1]
+                             else (f"x{k + 1}", f"x{k}")))])
+                 for k in range(1, n - 1) if forward[k - 1] == forward[k] and rng.random() < 0.5]
+    return build_algebra(Quiver([str(v) for v in range(1, n + 1)], arrows), relations, 10)
+
+
+def test_transpose_matches_full_size_assembly(glued, product_algebra, mutated_algebra):
+    rng = random.Random(0)
+    for alg in [glued, product_algebra, mutated_algebra] + [seeded_type_a(s) for s in range(8)]:
+        roster = enumerate_roster(alg).modules
+        # sums put several summands into P0 and P1, so blocks sit off the diagonal
+        sums = [direct_sum(alg, rng.sample(roster, 2)) for _ in range(3)]
+        for m in roster + sums:
+            assert transpose(m).to_json() == transpose_reference(m).to_json()
+            assert tau_inverse(m).to_json() == tau_inverse_reference(m).to_json()
+            for v in alg.vertices:
+                vec = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(m.dims[v])]
+                assert (hom_from_projective(alg, v, m, vec).to_json()
+                        == hom_from_projective_reference(alg, v, m, vec).to_json())
+
+
+def test_hom_from_projective_rejects_a_vector_of_the_wrong_length(outer):
+    with pytest.raises(ValueError):
+        hom_from_projective(outer, "3", projective(outer, "3"), [1, 0])

@@ -1,7 +1,12 @@
 """Representations: hom spaces, constructions, decomposition, isomorphism."""
 
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -408,3 +413,37 @@ def test_trace_pairing_decides_summands(rosters, data):
     with_factors = direct_sum(alg, [mods[i] for i in picks] + _simple_factors(x))
     assert not is_isomorphic(with_x, with_factors)[0]
     assert not is_isomorphic(with_factors, with_x)[0]
+
+
+# -- sympy is imported only to factor ---------------------------------------------------
+
+LAZY_SYMPY_SCRIPT = """
+import json, sys
+from rectilt.algebra import Quiver, build_algebra
+from rectilt.homology import enumerate_roster
+from rectilt.rep import decompose, direct_sum, projective
+A = build_algebra(Quiver(["1", "2", "3", "4"],
+                         [("a1", "1", "2"), ("a2", "2", "3"), ("a3", "3", "4")]), [])
+enumerate_roster(A)
+after_roster = "sympy" in sys.modules
+split = decompose(direct_sum(A, [projective(A, "1"), projective(A, "2")]))
+print(json.dumps({
+    "after_roster": after_roster,
+    "after_decompose": "sympy" in sys.modules,
+    "summands": [[s.to_json(), k] for s, k in split],
+    "projectives": [projective(A, v).to_json() for v in ("2", "1")],
+}))
+"""
+
+
+def test_sympy_is_imported_only_when_a_decomposition_factors():
+    src = str(Path(rep_module.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-c", LAZY_SYMPY_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    out = json.loads(proc.stdout)
+    assert out["after_roster"] is False
+    assert out["after_decompose"] is True
+    # P1 + P2 over linear A_4 splits into P2 and P1, each once
+    assert out["summands"] == [[p, 1] for p in out["projectives"]]
