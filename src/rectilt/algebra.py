@@ -12,7 +12,6 @@ denotes that same product.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -278,10 +277,6 @@ class BoundQuiverAlgebra:
             "relations": [r.to_json() for r in self.relations],
         }
 
-    def basis_json(self):
-        return [{"source": p.source, "target": self._targets[i], "arrows": list(p.arrows)}
-                for i, p in enumerate(self.basis)]
-
     def rename_arrows(self, mapping: dict[str, str]) -> "BoundQuiverAlgebra":
         quiver = Quiver(self.vertices,
                         [(mapping.get(a.name, a.name), a.source, a.target) for a in self.arrows])
@@ -382,8 +377,3 @@ def algebra_from_json(data, length_cap: int | None = None) -> BoundQuiverAlgebra
     rels = [Relation.from_json(r) for r in data.get("relations", [])]
     cap = length_cap if length_cap is not None else data.get("length_cap", DEFAULT_LENGTH_CAP)
     return build_algebra(quiver, rels, cap)
-
-
-def load_algebra(path, length_cap: int | None = None) -> BoundQuiverAlgebra:
-    with open(path) as f:
-        return algebra_from_json(json.load(f), length_cap)

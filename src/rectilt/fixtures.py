@@ -1,7 +1,7 @@
-"""The bundled regression corpus: algebras, named modules, rosters, goldens.
+"""The bundled regression corpus: algebras, named modules and rosters.
 
 Everything is generated programmatically so the files regenerate
-byte-identically; golden review happens through version control diffs.
+byte-identically.
 """
 
 from __future__ import annotations
@@ -156,44 +156,3 @@ def write_corpus(directory) -> list[str]:
         written.append(str(path))
     return written
 
-
-GOLDEN_COMMANDS = {
-    "roster_lambda": ["ar", "roster", "{d}/lambda.json"],
-    "exactness": ["rec", "check", "{d}/lambda.json", "--outer", "3,4,5"],
-    "case1": ["rec", "glue", "{d}/lambda.json", "--outer", "3,4,5",
-              "--inner-tilting", "{d}/modules/T_inner.json",
-              "--outer-tilting", "{d}/modules/T_outer_case1.json"],
-    "case2": ["rec", "glue", "{d}/lambda.json", "--outer", "3,4,5",
-              "--inner-tilting", "{d}/modules/T_inner.json",
-              "--outer-tilting", "{d}/modules/T_outer_case2.json"],
-    "case3": ["rec", "restrict", "{d}/lambda.json", "--outer", "3,4,5",
-              "--tilting", "{d}/modules/T_case3.json", "--side", "right"],
-    "case4": ["rec", "restrict", "{d}/lambda.json", "--outer", "3,4,5",
-              "--tilting", "{d}/modules/T_case4.json", "--side", "right"],
-    "tilting_case1": ["tilting", "check", "{d}/lambda.json", "T_case1"],
-    "partition_case1": ["torsion", "partition", "{d}/lambda.json", "T_case1",
-                        "--roster", "{d}/roster_lambda.json"],
-    "product_glue": ["rec", "glue", "{d}/product.json", "--outer", "3,4,5",
-                     "--inner-tilting", "{d}/modules/product_T_inner.json",
-                     "--outer-tilting", "{d}/modules/product_T_outer.json"],
-    "negative_glue": ["rec", "glue", "{d}/mutated.json", "--outer", "3,4,5",
-                      "--inner-tilting", "{d}/modules/product_T_inner.json",
-                      "--outer-tilting", "{d}/modules/product_T_outer.json"],
-}
-
-
-def regen_goldens(directory) -> list[str]:
-    """Rewrite the corpus and every golden output; returns paths written."""
-    from .cli import run_capture
-
-    directory = Path(directory)
-    written = write_corpus(directory)
-    for name, argv in GOLDEN_COMMANDS.items():
-        args = [a.format(d=str(directory)) for a in argv]
-        code, payload = run_capture(args)
-        golden = {"argv": [a.replace(str(directory), "fixtures") for a in args],
-                  "exit_code": code, "output": payload}
-        path = directory / "goldens" / f"{name}.json"
-        _dump(path, golden)
-        written.append(str(path))
-    return written

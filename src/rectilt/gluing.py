@@ -242,6 +242,19 @@ class RestrictionResult:
         }
 
 
+def _induces_pair(module: Representation, tclass, fclass) -> bool:
+    """Whether the restricted classes are the torsion pair module induces on its algebra.
+
+    Both classes must match the trace partition of the algebra's roster,
+    and no roster module may fall outside both.
+    """
+    roster = enumerate_roster(module.algebra)
+    part = partition_roster(module, roster)
+    return (add_equal(tclass, [roster.modules[i] for i in part.torsion])
+            and add_equal(fclass, [roster.modules[i] for i in part.free])
+            and not part.neither)
+
+
 def restrict_right(ctx: RecollementContext, t: Representation,
                    roster: Roster | None = None) -> RestrictionResult:
     """j^*(T) in basic form; tilting-ness holds without any hypothesis.
@@ -256,11 +269,7 @@ def restrict_right(ctx: RecollementContext, t: Representation,
     cert = is_tilting(module)
     hyp = check_restriction_hypotheses(ctx, t, roster)
     tclass, fclass = restricted_pair(ctx, t, "right", roster)
-    outer_roster = enumerate_roster(ctx.outer_algebra)
-    part = partition_roster(module, outer_roster)
-    eq = (add_equal(tclass, [outer_roster.modules[i] for i in part.torsion])
-          and add_equal(fclass, [outer_roster.modules[i] for i in part.free])
-          and not part.neither)
+    eq = _induces_pair(module, tclass, fclass)
     return RestrictionResult("right", module, summands, cert, True, hyp, eq,
                              (tclass, fclass))
 
@@ -283,10 +292,6 @@ def restrict_left(ctx: RecollementContext, t: Representation,
         return RestrictionResult("left", module, summands, None, False, hyp, None)
     cert = is_tilting(module)
     tclass, fclass = restricted_pair(ctx, t, "left", roster)
-    inner_roster = enumerate_roster(ctx.inner_algebra)
-    part = partition_roster(module, inner_roster)
-    eq = (add_equal(tclass, [inner_roster.modules[i] for i in part.torsion])
-          and add_equal(fclass, [inner_roster.modules[i] for i in part.free])
-          and not part.neither)
+    eq = _induces_pair(module, tclass, fclass)
     return RestrictionResult("left", module, summands, cert, True, hyp, eq,
                              (tclass, fclass))

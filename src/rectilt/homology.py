@@ -1,5 +1,14 @@
 """Projective covers, Ext/Tor, the AR translate, and roster enumeration.
 
+Everything is built from two primitives.  The first is the intertwining
+system of ``rep``: its kernel is Hom_A(X, M), and with M = DN its
+cokernel is the balanced tensor N (x)_A X, since N (x)_A X =
+D Hom_A(X, DN) (Auslander-Reiten-Smalo, ch. II).  The second is one
+resolution step, the minimal presentation 0 -> Omega -> P0 -> M -> 0.
+The cover lifts the top of M one vertex at a time: the quotient of M_v by
+the arrow images, then one solve against the identity.  pd, Ext^k and
+Tr M walk these steps.
+
 Ext^1 classes are realized through the syzygy: a cocycle is a morphism
 Omega -> N modulo restrictions of P0 -> N, and the extension with that
 class is the pushout of Omega -> P0 along the cocycle.  Tor is computed
@@ -9,8 +18,9 @@ opposite algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .algebra import BoundQuiverAlgebra, Path
 from .errors import CapExceeded, RectiltError
@@ -19,6 +29,8 @@ from .rep import (
     Morphism,
     Representation,
     SES,
+    _intertwining_rows,
+    _linear_combination,
     cokernel,
     direct_sum,
     direct_sum_with_maps,
@@ -71,27 +83,25 @@ class ProjectivePresentation:
     syzygy: Representation           # Omega
     inclusion: Morphism              # Omega -> P0
     cover_vertices: list[str]        # one entry per indecomposable summand of P0
-    second_cover: Representation | None = None     # P1
-    second_map: Morphism | None = None             # P1 -> P0
-    second_vertices: list[str] = field(default_factory=list)
 
 
 def projective_cover(m: Representation) -> tuple[Representation, Morphism, list[str]]:
-    """Minimal cover: one P(v) per top basis vector, mapped through lifted tops."""
+    """Minimal cover: one P(v) per top basis vector, mapped through lifted tops.
+
+    At each vertex v the top is the quotient of M_v by the arrow images,
+    and one solve against the identity lifts its whole basis to M_v.
+    """
     alg = m.algebra
-    t, proj = top(m)
+    spans = _arrow_image_spans(m)
     pieces = []
     vertices = []
     for v in alg.vertices:
-        for k in range(t.dims[v]):
-            unit = Mat.zeros(t.dims[v], 1)
-            ent = [list(r) for r in unit.entries]
-            ent[k][0] = Fraction(1)
-            unit = Mat(t.dims[v], 1, ent)
-            gen = solve(proj.components[v], unit)
-            if gen is None:
-                raise RectiltError("top projection must be surjective")
-            pieces.append(hom_from_projective(alg, v, m, gen.col(0)))
+        dim, proj = quotient(m.dims[v], spans[v])
+        gens = solve(proj, Mat.identity(dim))
+        if gens is None:
+            raise RectiltError("top projection must be surjective")
+        for k in range(dim):
+            pieces.append(hom_from_projective(alg, v, m, gens.col(k)))
             vertices.append(v)
     if not pieces:
         z = zero_rep(alg)
@@ -107,35 +117,50 @@ def projective_cover(m: Representation) -> tuple[Representation, Morphism, list[
     return p0, surj, vertices
 
 
-def min_presentation(m: Representation, with_second: bool = False) -> ProjectivePresentation:
+def min_presentation(m: Representation) -> ProjectivePresentation:
+    """One resolution step: the minimal cover P0 ->> M and its kernel Omega.
+
+    The next step is the presentation of ``syzygy``; P1 -> P0 is
+    ``inclusion`` after the cover of Omega.
+    """
     p0, surj, vertices = projective_cover(m)
     omega, incl = kernel(surj)
-    pres = ProjectivePresentation(m, p0, surj, omega, incl, vertices)
-    if with_second:
-        p1, surj1, verts1 = projective_cover(omega)
-        pres.second_cover = p1
-        pres.second_map = incl.compose(surj1)
-        pres.second_vertices = verts1
-    return pres
+    return ProjectivePresentation(m, p0, surj, omega, incl, vertices)
+
+
+def _resolution(m: Representation):
+    """The presentations of m, Omega m, Omega^2 m, ... while the syzygy is nonzero."""
+    while not m.is_zero():
+        pres = min_presentation(m)
+        yield pres
+        m = pres.syzygy
 
 
 def proj_dim(m: Representation, cap: int | None = None) -> int:
     """Length of the minimal projective resolution; CapExceeded past ``cap``."""
     if cap is None:
         cap = m.algebra.dimension
-    current = m
-    d = 0
-    while True:
-        if current.is_zero():
-            return max(d - 1, 0)
-        _, surj, _ = projective_cover(current)
-        omega, _ = kernel(surj)
-        if omega.is_zero():
+    for d, pres in enumerate(_resolution(m)):
+        if pres.syzygy.is_zero():
             return d
         if d + 1 > cap:
             raise CapExceeded(f"projective resolution exceeds {cap} steps")
-        current = omega
-        d += 1
+    return 0
+
+
+def _precomposition(d: Morphism, dom: list[Morphism], cod: list[Morphism]) -> Mat:
+    """f |-> f o d from Hom(Y, N) to Hom(X, N) for d: X -> Y, in hom_basis coordinates.
+
+    ``dom`` and ``cod`` are ``hom_basis(Y, N)`` and ``hom_basis(X, N)``;
+    column i holds the coordinates of dom[i] o d in ``cod``.
+    """
+    if not dom or not cod:
+        return Mat.zeros(len(cod), len(dom))
+    sol = solve(Mat.from_rows([flatten_morphism(f) for f in cod]).transpose(),
+                Mat.from_rows([flatten_morphism(f.compose(d)) for f in dom]).transpose())
+    if sol is None:
+        raise RectiltError("precomposed maps are not in the next Hom space")
+    return sol
 
 
 # -- Ext ---------------------------------------------------------------------
@@ -156,32 +181,14 @@ def ext1(m: Representation, n: Representation) -> ExtSpace:
     omega_basis = hom_basis(pres.syzygy, n)
     if not omega_basis:
         return ExtSpace(m, n, pres, 0, [])
-    p0_basis = hom_basis(pres.cover, n)
-    w = len(omega_basis)
-    wmat = Mat.from_rows([flatten_morphism(f) for f in omega_basis]).transpose()
-    if p0_basis:
-        restricted = [flatten_morphism(f.compose(pres.inclusion)) for f in p0_basis]
-        rmat_flat = Mat.from_rows(restricted).transpose()
-        coords = solve(wmat, rmat_flat)
-        if coords is None:
-            raise RectiltError("restricted cover maps are not in Hom(Omega, n)")
-    else:
-        coords = Mat.zeros(w, 0)
-    dim, proj = quotient(w, coords)
+    coords = _precomposition(pres.inclusion, hom_basis(pres.cover, n), omega_basis)
+    dim, proj = quotient(len(omega_basis), coords)
     # cocycle representatives: the complement coordinates picked by the quotient
-    reps = []
-    for k in range(dim):
-        unit = Mat.zeros(dim, 1)
-        ent = [list(r) for r in unit.entries]
-        ent[k][0] = Fraction(1)
-        sol = solve(proj, Mat(dim, 1, ent))
-        if sol is None:
-            raise RectiltError("Ext^1 quotient map is not surjective")
-        f = zero_morphism(pres.syzygy, n)
-        for i in range(w):
-            if sol[i, 0] != 0:
-                f = f.add(omega_basis[i].scale(sol[i, 0]))
-        reps.append(f)
+    sol = solve(proj, Mat.identity(dim))
+    if sol is None:
+        raise RectiltError("Ext^1 quotient map is not surjective")
+    reps = [_linear_combination(pres.syzygy, n, sol.col(k), omega_basis)
+            for k in range(dim)]
     return ExtSpace(m, n, pres, dim, reps)
 
 
@@ -201,11 +208,7 @@ def _pushout_extension(pres: ProjectivePresentation, cocycle: Morphism) -> SES:
     sol = solve(Mat.from_rows(rows).transpose(), Mat.column(want)) if rows else None
     if sol is None:
         raise RectiltError("extension middle term must map onto the source")
-    target = zero_morphism(mid, pres.module)
-    for i, f in enumerate(candidates):
-        if sol[i, 0] != 0:
-            target = target.add(f.scale(sol[i, 0]))
-    return SES(leg_n, target)
+    return SES(leg_n, _linear_combination(mid, pres.module, sol.col(0), candidates))
 
 
 def realize_extension(e: ExtSpace, coeffs) -> SES:
@@ -213,10 +216,7 @@ def realize_extension(e: ExtSpace, coeffs) -> SES:
     coeffs = [Fraction(c) for c in coeffs]
     if len(coeffs) != e.dimension:
         raise ValueError("coefficient list does not match Ext dimension")
-    cocycle = zero_morphism(e.presentation.syzygy, e.coefficient)
-    for c, f in zip(coeffs, e.cocycles):
-        if c:
-            cocycle = cocycle.add(f.scale(c))
+    cocycle = _linear_combination(e.presentation.syzygy, e.coefficient, coeffs, e.cocycles)
     return _pushout_extension(e.presentation, cocycle)
 
 
@@ -256,43 +256,20 @@ def ext_k(m: Representation, n: Representation, k: int, cap: int | None = None) 
         cap = m.algebra.dimension + k + 1
     if k + 1 > cap:
         raise CapExceeded("resolution exceeded the configured step cap")
-    # minimal resolution P_0 <- P_1 <- ... <- P_{k+1} (padded with zeros)
-    covers = []
-    diffs = []   # diffs[i]: P_{i+1} -> P_i
-    current = m
-    incl_prev = None
-    for _ in range(k + 2):
-        if current.is_zero():
-            break
-        p, surj, _ = projective_cover(current)
-        omega, incl = kernel(surj)
-        if covers:
-            diffs.append(incl_prev.compose(surj))
-        covers.append(p)
-        incl_prev = incl
-        current = omega
-    zero = zero_rep(m.algebra)
-    while len(covers) < k + 2:
-        covers.append(zero)
-    while len(diffs) < k + 1:
-        diffs.append(zero_morphism(covers[len(diffs) + 1], covers[len(diffs)]))
+    # minimal resolution P_0 <- P_1 <- ... <- P_{k+1}; P_i = 0 past its end
+    steps = list(islice(_resolution(m), k + 2))
+    homs = {i: hom_basis(steps[i].cover, n) if i < len(steps) else []
+            for i in range(max(k - 1, 0), k + 2)}
 
-    def dmatrix(i):
-        """Hom(P_i, n) -> Hom(P_{i+1}, n), precomposition with diffs[i]."""
-        dom = hom_basis(covers[i], n)
-        cod = hom_basis(covers[i + 1], n)
-        if not dom or not cod:
-            return Mat.zeros(len(cod), len(dom))
-        cmat = Mat.from_rows([flatten_morphism(f) for f in cod]).transpose()
-        cols = [flatten_morphism(f.compose(diffs[i])) for f in dom]
-        sol = solve(cmat, Mat.from_rows(cols).transpose())
-        if sol is None:
-            raise RectiltError("precomposed maps are not in the next Hom space")
-        return sol
+    def rank_d(i):
+        """Rank of Hom(P_i, n) -> Hom(P_{i+1}, n), precomposition with P_{i+1} -> P_i."""
+        if i + 1 >= len(steps):
+            return 0
+        d = steps[i].inclusion.compose(steps[i + 1].surjection)
+        return rank(_precomposition(d, homs[i], homs[i + 1]))
 
-    if k == 0:
-        return len(hom_basis(covers[0], n)) - rank(dmatrix(0))
-    return len(hom_basis(covers[k], n)) - rank(dmatrix(k)) - rank(dmatrix(k - 1))
+    dim = len(homs[k]) - rank_d(k)
+    return dim if k == 0 else dim - rank_d(k - 1)
 
 
 # -- tensor products and Tor ------------------------------------------------
@@ -303,36 +280,19 @@ def tensor_dim_data(nright: Representation, x: Representation):
 
     Returns ``(dim, proj, offsets, total)``: the raw space is the sum over
     vertices w of N_w (x) X_w, with n_r (x) x_q at ``offsets[w] + r * dim X_w
-    + q``, and ``proj`` maps it onto the balanced quotient.  Tor uses it
-    with N a right module; the recollement's j_! uses it with the factors
-    swapped, Y (x) e_vN over the opposite of the outer algebra.
+    + q``, and ``proj`` maps it onto the balanced quotient.  The balancing
+    relations are the rows of Hom_A(X, DN)'s intertwining system, DN
+    having the transposed maps of N: N (x)_A X = D Hom_A(X, DN).  Tor uses
+    it with N a right module; the recollement's j_! uses it with the
+    factors swapped, Y (x) e_vN over the opposite of the outer algebra.
     """
     alg = x.algebra
     if nright.algebra is not alg.opposite():
         raise ValueError("left factor must be a representation of the opposite algebra")
-    offsets = {}
-    total = 0
-    for v in alg.vertices:
-        offsets[v] = total
-        total += nright.dims[v] * x.dims[v]
-    rows = []
-    for a in alg.arrows:
-        i, j = a.source, a.target
-        na = nright.maps[a.name]          # N_j -> N_i (right action by a)
-        xa = x.maps[a.name]               # X_i -> X_j
-        for p in range(nright.dims[j]):
-            for q in range(x.dims[i]):
-                row = [Fraction(0)] * total
-                for r in range(nright.dims[i]):
-                    c = na.entries[r][p]
-                    if c != 0:
-                        row[offsets[i] + r * x.dims[i] + q] += c
-                for t in range(x.dims[j]):
-                    c = xa.entries[t][q]
-                    if c != 0:
-                        row[offsets[j] + p * x.dims[j] + t] -= c
-                if any(v != 0 for v in row):
-                    rows.append(row)
+    dn = Representation(alg, nright.dims,
+                        {a.name: nright.maps[a.name].transpose() for a in alg.arrows},
+                        validate=False)
+    rows, offsets, total = _intertwining_rows(x, dn)
     span = Mat.from_rows(rows).transpose() if rows else Mat.zeros(total, 0)
     dim, proj = quotient(total, span)
     return dim, proj, offsets, total
@@ -395,12 +355,12 @@ def transpose(m: Representation) -> Representation:
     """
     alg = m.algebra
     opp = alg.opposite()
-    pres = min_presentation(m, with_second=True)
+    pres = min_presentation(m)
+    _, surj1, p1_verts = projective_cover(pres.syzygy)
     p0_verts = pres.cover_vertices
-    p1_verts = pres.second_vertices
     if not p1_verts:
         return zero_rep(opp)
-    d = pres.second_map  # P1 -> P0
+    d = pres.inclusion.compose(surj1)  # P1 -> P0
 
     def summand_offsets(algebra, verts):
         """Offset of each summand's block inside the stacked vertex spaces."""
@@ -499,13 +459,6 @@ class Roster:
                  "maps": e.module.to_json()["maps"],
                  "provenance": e.provenance}
                 for e in self.entries]
-
-
-def roster_from_json(algebra: BoundQuiverAlgebra, data) -> Roster:
-    entries = [RosterEntry(Representation.from_json(algebra, item),
-                           item.get("provenance", "file"))
-               for item in data]
-    return Roster(algebra, entries)
 
 
 def enumerate_roster(algebra: BoundQuiverAlgebra, cap: int = 256) -> Roster:

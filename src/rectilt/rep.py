@@ -235,18 +235,21 @@ class SES:
 # -- hom spaces ---------------------------------------------------------
 
 
-def hom_basis(m: Representation, n: Representation) -> list[Morphism]:
-    """Canonical basis of Hom(m, n) as solutions of the intertwining system."""
-    if m.algebra is not n.algebra:
-        raise ValueError("representations over different algebras")
+def _intertwining_rows(m: Representation, n: Representation):
+    """``(rows, offsets, total)``: the system N_a phi_i - phi_j M_a = 0 on phi: m -> n.
+
+    Entry (r, c) of phi_v is unknown ``offsets[v] + r * dim m_v + c``; each
+    arrow a: i -> j gives one row per entry of N_a phi_i - phi_j M_a, and
+    all-zero rows are dropped.  The kernel is Hom(m, n).  The span of the
+    rows, with n = DN, is what the balanced tensor N (x) m divides out
+    (N (x)_A m = D Hom_A(m, DN)).
+    """
     alg = m.algebra
     offsets = {}
     total = 0
     for v in alg.vertices:
         offsets[v] = total
         total += n.dims[v] * m.dims[v]
-    if total == 0:
-        return []
     rows = []
     for a in alg.arrows:
         i, j = a.source, a.target
@@ -266,6 +269,17 @@ def hom_basis(m: Representation, n: Representation) -> list[Morphism]:
                         row[offsets[j] + r * m.dims[j] + l] -= coeff
                 if any(x != 0 for x in row):
                     rows.append(row)
+    return rows, offsets, total
+
+
+def hom_basis(m: Representation, n: Representation) -> list[Morphism]:
+    """Canonical basis of Hom(m, n): the kernel of the intertwining system."""
+    if m.algebra is not n.algebra:
+        raise ValueError("representations over different algebras")
+    alg = m.algebra
+    rows, offsets, total = _intertwining_rows(m, n)
+    if total == 0:
+        return []
     if rows:
         k = kernel_basis(Mat.from_rows(rows))
     else:
@@ -286,6 +300,19 @@ def hom_basis(m: Representation, n: Representation) -> list[Morphism]:
 
 def hom_dim(m: Representation, n: Representation) -> int:
     return len(hom_basis(m, n))
+
+
+def _linear_combination(source: Representation, target: Representation, coeffs,
+                        maps) -> Morphism:
+    """The morphism sum c_i f_i: source -> target; zero coefficients are skipped."""
+    terms = [(c, f) for c, f in zip(coeffs, maps) if c != 0]
+    comps = {}
+    for v in source.algebra.vertices:
+        acc = Mat.zeros(target.dims[v], source.dims[v])
+        for c, f in terms:
+            acc = acc + f.components[v].scale(c)
+        comps[v] = acc
+    return Morphism(source, target, comps, validate=False)
 
 
 def flatten_morphism(f: Morphism) -> list[Fraction]:
@@ -571,10 +598,7 @@ def _split_once(m: Representation):
     for coords in _split_candidates(len(comp)):
         if all(c == 0 for c in coords):
             continue
-        x = zero_morphism(m, m)
-        for c, f in zip(coords, comp):
-            if c != 0:
-                x = x.add(f.scale(c))
+        x = _linear_combination(m, m, coords, comp)
         factors = _primary_factors(_min_poly(x))
         if len(factors) < 2:
             continue

@@ -31,6 +31,7 @@ from .rep import (
     Representation,
     SES,
     _in_add,
+    _linear_combination,
     _pairing_matrix,
     basic_summands,
     cokernel,
@@ -45,7 +46,6 @@ from .rep import (
     regular_module,
     subrep_from_subspaces,
     summand_classes,
-    zero_morphism,
 )
 
 
@@ -156,13 +156,7 @@ def _class_radicals(classes):
         gram = _pairing_matrix(ends, ends)
         units.append(rank(gram))
         rad = kernel_basis(gram)
-        radical = []
-        for c in range(rad.cols):
-            f = zero_morphism(x, x)
-            for k, e in enumerate(ends):
-                if rad[k, c] != 0:
-                    f = f.add(e.scale(rad[k, c]))
-            radical.append(f)
+        radical = [_linear_combination(x, x, rad.col(c), ends) for c in range(rad.cols)]
         radical += [g for j, y in enumerate(classes) if j != i for g in hom_basis(y, x)]
         spans.append({v: Mat.hstack([g.components[v] for g in radical], rows=x.dims[v])
                       for v in x.algebra.vertices})
