@@ -18,6 +18,8 @@ opposite algebra.
 
 from __future__ import annotations
 
+import weakref
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -75,8 +77,10 @@ def top(m: Representation) -> tuple[Representation, Morphism]:
 # -- projective presentations ---------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProjectivePresentation:
+    """Shared by every caller once cached on ``module``, so it is frozen."""
+
     module: Representation
     cover: Representation            # P0
     surjection: Morphism             # P0 ->> M
@@ -96,6 +100,8 @@ def projective_cover(m: Representation) -> tuple[Representation, Morphism, list[
     pieces = []
     vertices = []
     for v in alg.vertices:
+        if not m.dims[v]:
+            continue
         dim, proj = quotient(m.dims[v], spans[v])
         gens = solve(proj, Mat.identity(dim))
         if gens is None:
@@ -117,15 +123,30 @@ def projective_cover(m: Representation) -> tuple[Representation, Morphism, list[
     return p0, surj, vertices
 
 
+# The modules that hold a cached presentation, oldest first, by weak
+# reference.  Past ``_PRESENTED_MAX`` the oldest one still alive gives its
+# presentation up, so a caller that keeps many modules alive does not keep
+# all their presentations too.
+_PRESENTED: deque[weakref.ref] = deque()
+_PRESENTED_MAX = 256
+
+
 def min_presentation(m: Representation) -> ProjectivePresentation:
     """One resolution step: the minimal cover P0 ->> M and its kernel Omega.
 
     The next step is the presentation of ``syzygy``; P1 -> P0 is
-    ``inclusion`` after the cover of Omega.
+    ``inclusion`` after the cover of Omega.  Modules are immutable, so
+    the result is cached on m, for the last ``_PRESENTED_MAX`` modules
+    presented.
     """
-    p0, surj, vertices = projective_cover(m)
-    omega, incl = kernel(surj)
-    return ProjectivePresentation(m, p0, surj, omega, incl, vertices)
+    if m._pres is None:
+        p0, surj, vertices = projective_cover(m)
+        omega, incl = kernel(surj)
+        m._pres = ProjectivePresentation(m, p0, surj, omega, incl, vertices)
+        _PRESENTED.append(weakref.ref(m))
+        if len(_PRESENTED) > _PRESENTED_MAX and (old := _PRESENTED.popleft()()) is not None:
+            old._pres = None
+    return m._pres
 
 
 def _resolution(m: Representation):

@@ -9,7 +9,9 @@ Decomposition follows the characteristic-zero route: the radical of the
 endomorphism ring by the trace form, then splitting elements off it.
 The minimal polynomial of a splitting element x on M factors over Q into
 coprime prime powers p_i^e_i, and M is the direct sum of the submodules
-ker p_i^e_i(x), so no idempotent has to be built.
+ker p_i^e_i(x), so no idempotent has to be built.  Its rational roots are
+found first, by the rational root theorem; sympy is imported only when a
+factor of degree >= 2 remains or a coefficient is past the search bound.
 
 One criterion decides summand classes: the trace pairing P(x, m)[i][j] =
 tr(g_j o f_i) of the bases f of Hom(x, m) and g of Hom(m, x).  Traces kill
@@ -23,6 +25,7 @@ from __future__ import annotations
 import json
 import random
 from fractions import Fraction
+from math import comb, gcd, isqrt, lcm
 
 from .algebra import BoundQuiverAlgebra, Path
 from .errors import PossibleDivisionAlgebra, RectiltError
@@ -30,7 +33,7 @@ from .linalg import Mat, col_basis, kernel_basis, quotient, rank, rref, solve
 
 
 class Representation:
-    __slots__ = ("algebra", "dims", "maps", "_key")
+    __slots__ = ("algebra", "dims", "maps", "_key", "_pres", "__weakref__")
 
     def __init__(self, algebra: BoundQuiverAlgebra, dims, maps, validate: bool = True):
         self.algebra = algebra
@@ -48,6 +51,7 @@ class Representation:
             full_maps[a.name] = m
         self.maps = full_maps
         self._key = None
+        self._pres = None  # the minimal presentation, cached by homology.min_presentation
         if validate:
             self._check_relations()
 
@@ -542,12 +546,69 @@ def _min_poly(x: Morphism):
                        f"endomorphism of a module of dimension {m.total_dim}")
 
 
+# Past this constant or leading coefficient the rational-root search leaves
+# the factoring to sympy: its candidates grow with their divisor counts.
+_ROOT_SEARCH_BOUND = 10 ** 6
+
+
+def _divisors(n: int) -> list[int]:
+    """The positive divisors of n >= 1, in increasing order."""
+    low = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return low + [n // d for d in reversed(low) if d * d != n]
+
+
+def _deflate(ints: list[int], p: int, q: int) -> list[int] | None:
+    """ints / (q t - p) by synthetic division, or None if p/q is not a root.
+
+    ``ints`` are integer coefficients, highest degree first, and p/q is in
+    lowest terms; q t - p is primitive, so a root leaves an integer quotient.
+    """
+    out, carry = [], 0
+    for a in ints[:-1]:
+        carry, rem = divmod(a + p * carry, q)
+        if rem:
+            return None
+        out.append(carry)
+    return out if ints[-1] == -p * carry else None
+
+
+def _linear_power(r: Fraction, e: int) -> list[Fraction]:
+    """The coefficients of (t - r)^e, highest degree first."""
+    return [comb(e, k) * (-r) ** k for k in range(e + 1)]
+
+
 def _primary_factors(coeffs):
     """The prime-power factors p^e of a polynomial over Q, as coefficient lists.
 
-    sympy is imported here, on the first factorization: it is most of the
-    cost of importing the package, and only decomposition needs it.
+    Rational roots come first.  The root 0 is read off the trailing zero
+    coefficients; then each candidate +-p/q of the rational root theorem (p
+    divides the constant, q the leading coefficient of the integer multiple)
+    is divided out by synthetic division as often as it divides.  If that
+    leaves a constant, the factors are the (t - r)^e.  Only when a factor
+    of degree >= 2 remains, or a coefficient exceeds the search bound, is
+    sympy imported to factor the whole polynomial: it is most of the cost of
+    importing the package.  The two routes' factors differ only by scalars,
+    so their kernels agree.
     """
+    scale = lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (scale // c.denominator) for c in coeffs]
+    zeros = 0
+    while len(ints) > 1 and ints[-1] == 0:
+        ints.pop()
+        zeros += 1
+    roots = [(Fraction(0), zeros)] if zeros else []
+    lead, const = abs(ints[0]), abs(ints[-1])
+    if len(ints) > 1 and max(lead, const) <= _ROOT_SEARCH_BOUND:
+        candidates = [(s * p, q) for q in _divisors(lead) for p in _divisors(const)
+                      if gcd(p, q) == 1 for s in (1, -1)]
+        for p, q in candidates:
+            e = 0
+            while len(ints) > 1 and (rest := _deflate(ints, p, q)) is not None:
+                ints, e = rest, e + 1
+            if e:
+                roots.append((Fraction(p, q), e))
+    if len(ints) == 1:
+        return [_linear_power(r, e) for r, e in roots]
     import sympy  # noqa: PLC0415
 
     t = sympy.Symbol("t")
@@ -558,12 +619,19 @@ def _primary_factors(coeffs):
 
 
 def _eval_poly(coeffs, x: Morphism) -> Morphism:
-    """The endomorphism coeffs(x), by Horner's rule."""
-    one = identity_morphism(x.source)
-    acc = zero_morphism(x.source, x.source)
-    for c in coeffs:
-        acc = x.compose(acc).add(one.scale(c))
-    return acc
+    """The endomorphism coeffs(x), by Horner's rule on each vertex matrix.
+
+    ``coeffs`` run from the highest degree down, degree >= 1; the rule
+    starts from c0 X + c1 I at each vertex.
+    """
+    comps = {}
+    for v, mat in x.components.items():
+        one = Mat.identity(mat.rows)
+        acc = mat.scale(coeffs[0]) + one.scale(coeffs[1])
+        for c in coeffs[2:]:
+            acc = mat @ acc + one.scale(c) if c else mat @ acc
+        comps[v] = acc
+    return Morphism(x.source, x.source, comps, validate=False)
 
 
 def _split_candidates(dim: int):
@@ -586,10 +654,13 @@ def _split_once(m: Representation):
     p_r^e_r with r >= 2, then m is the direct sum of the submodules
     ker p_i^e_i(x) (Fitting).  rad End(m) is nilpotent, so these factors
     are those of x in End/rad, and a split exists iff End/rad is not a
-    division algebra.  Raises PossibleDivisionAlgebra when End/rad has
-    dimension > 1 but no candidate splits.
+    division algebra.  A one-dimensional End(m) is Q, so m is
+    indecomposable without the pairing.  Raises PossibleDivisionAlgebra
+    when End/rad has dimension > 1 but no candidate splits.
     """
     basis = hom_basis(m, m)
+    if len(basis) <= 1:
+        return None
     rad = kernel_basis(_pairing_matrix(basis, basis))
     pivots = set(rref(rad.transpose())[1]) if rad.cols else set()
     comp = [f for i, f in enumerate(basis) if i not in pivots]

@@ -41,6 +41,7 @@ from rectilt.rep import (
     hom_from_projective,
     injective,
     is_isomorphic,
+    kernel,
     projective,
     simple,
     zero_morphism,
@@ -429,3 +430,42 @@ def test_projective_cover_matches_the_top_based_construction(glued, product_alge
             assert verts == ref_verts
             assert surj.to_json() == ref_surj.to_json()
             assert p0.to_json() == ref_p0.to_json()
+
+
+def _presentation_json(pres):
+    return [pres.cover.to_json(), pres.surjection.to_json(), pres.syzygy.to_json(),
+            pres.inclusion.to_json(), pres.cover_vertices]
+
+
+def test_min_presentation_is_cached_and_matches_a_fresh_one(glued, product_algebra,
+                                                            mutated_algebra):
+    for alg in [glued, product_algebra, mutated_algebra]:
+        roster = enumerate_roster(alg).modules
+        for m in roster + [direct_sum(alg, roster[:3])]:
+            pres = min_presentation(m)
+            assert min_presentation(m) is pres
+            # an equal module built separately, presented without the cache
+            fresh = Representation.from_json(alg, m.to_json())
+            assert fresh == m and fresh is not m and fresh._pres is None
+            p0, surj, verts = projective_cover(fresh)
+            omega, incl = kernel(surj)
+            assert _presentation_json(pres) == [p0.to_json(), surj.to_json(), omega.to_json(),
+                                                incl.to_json(), verts]
+            assert _presentation_json(min_presentation(fresh)) == _presentation_json(pres)
+
+
+def test_presentation_cache_is_bounded_and_drops_the_oldest(monkeypatch):
+    monkeypatch.setattr(homology_module, "_PRESENTED", homology_module.deque())
+    monkeypatch.setattr(homology_module, "_PRESENTED_MAX", 3)
+    alg = build_algebra(Quiver(["1", "2", "3", "4"],
+                               [("a", "1", "2"), ("b", "2", "3"), ("c", "3", "4")]), [])
+    mods = [simple(alg, v) for v in alg.vertices]
+    pres = [min_presentation(m) for m in mods]
+    # the first module gave its presentation up; the last three keep theirs
+    assert mods[0]._pres is None
+    assert [m._pres for m in mods[1:]] == pres[1:]
+    assert all(min_presentation(m) is p for m, p in zip(mods[1:], pres[1:]))
+    # presented afresh, with the same result, it drops the next oldest
+    again = min_presentation(mods[0])
+    assert again is not pres[0] and _presentation_json(again) == _presentation_json(pres[0])
+    assert mods[1]._pres is None and len(homology_module._PRESENTED) == 3

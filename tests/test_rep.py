@@ -6,7 +6,9 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -273,6 +275,65 @@ def test_division_algebra_endomorphisms_raise():
         decompose(direct_sum(alg, [m, n]))
 
 
+# -- primary factors: rational roots first, sympy for the rest -------------------
+
+def _poly_mul(f, g):
+    out = [Fraction(0)] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
+def _monic_multiset(factors):
+    return sorted(tuple(Fraction(c) / f[0] for c in f) for f in factors)
+
+
+def _sympy_factors(coeffs):
+    sympy = pytest.importorskip("sympy")
+    poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in coeffs],
+                      sympy.Symbol("t"), domain="QQ")
+    return [[Fraction(int(c.p), int(c.q)) for c in (base ** e).all_coeffs()]
+            for base, e in poly.factor_list()[1]]
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(roots=st.dictionaries(st.fractions(min_value=-6, max_value=6, max_denominator=4),
+                             st.integers(1, 3), min_size=1, max_size=4),
+       extra=st.sampled_from(["none", "none", "t^2 + a", "t^3 - 2"]),
+       a=st.integers(1, 5))
+def test_primary_factors_agree_with_sympy(roots, extra, a):
+    factor = {"none": [1], "t^2 + a": [1, 0, a], "t^3 - 2": [1, 0, 0, -2]}[extra]
+    poly = [Fraction(c) for c in factor]
+    for r, e in roots.items():
+        for _ in range(e):
+            poly = _poly_mul(poly, [Fraction(1), -r])
+    want = _monic_multiset(_sympy_factors(poly))
+    scale = lcm(*(c.denominator for c in poly))
+    ints = [int(c * scale) for c in poly]
+    while ints[-1] == 0:
+        ints.pop()
+    # all roots rational and within the search bound: answered with sympy unimportable
+    fast = extra == "none" and max(abs(ints[0]), abs(ints[-1])) <= rep_module._ROOT_SEARCH_BOUND
+    with mock.patch.dict(sys.modules, {"sympy": None} if fast else {}):
+        assert _monic_multiset(rep_module._primary_factors(poly)) == want
+
+
+def test_primary_factors_past_the_search_bound_use_sympy(monkeypatch):
+    # (t - 1)^2 (t + 1/2) (t + 2 * bound + 1): past the bound, so no divisor search
+    big = 2 * rep_module._ROOT_SEARCH_BOUND + 1
+    poly = _poly_mul(_poly_mul([Fraction(1), Fraction(-1)], [Fraction(1), Fraction(-1)]),
+                     _poly_mul([Fraction(1), Fraction(1, 2)], [Fraction(1), Fraction(big)]))
+    want = _monic_multiset(_sympy_factors(poly))
+    assert want == _monic_multiset([[1, -2, 1], [1, Fraction(1, 2)], [1, big]])
+
+    def no_search(n):
+        raise AssertionError("the divisor search ran past its bound")
+
+    monkeypatch.setattr(rep_module, "_divisors", no_search)
+    assert _monic_multiset(rep_module._primary_factors(poly)) == want
+
+
 # -- isomorphism --------------------------------------------------------------
 
 def test_identity_isomorphism(inner):
@@ -415,7 +476,7 @@ def test_trace_pairing_decides_summands(rosters, data):
     assert not is_isomorphic(with_factors, with_x)[0]
 
 
-# -- sympy is imported only to factor ---------------------------------------------------
+# -- sympy is imported only for a factor of degree >= 2 -----------------------------------
 
 LAZY_SYMPY_SCRIPT = """
 import json, sys
@@ -435,15 +496,42 @@ print(json.dumps({
 }))
 """
 
+# the Kronecker module of test_division_algebra_endomorphisms_raise: End(M) = Q(i)
+IRREDUCIBLE_SYMPY_SCRIPT = """
+import json, sys
+from rectilt.algebra import Quiver, build_algebra
+from rectilt.errors import PossibleDivisionAlgebra
+from rectilt.linalg import Mat
+from rectilt.rep import Representation, decompose
+alg = build_algebra(Quiver(["1", "2"], [("a", "1", "2"), ("b", "1", "2")]), [], 10)
+m = Representation(alg, {"1": 2, "2": 2},
+                   {"a": Mat.identity(2), "b": Mat.from_rows([[0, -1], [1, 0]])})
+before = "sympy" in sys.modules
+try:
+    decompose(m)
+    raised = False
+except PossibleDivisionAlgebra:
+    raised = True
+print(json.dumps({"before": before, "raised": raised, "after": "sympy" in sys.modules}))
+"""
 
-def test_sympy_is_imported_only_when_a_decomposition_factors():
+
+def _run_script(script):
     src = str(Path(rep_module.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    proc = subprocess.run([sys.executable, "-c", LAZY_SYMPY_SCRIPT], env=env,
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120, check=True)
-    out = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_sympy_is_imported_only_for_a_factor_of_degree_two_or_more():
+    out = _run_script(LAZY_SYMPY_SCRIPT)
     assert out["after_roster"] is False
-    assert out["after_decompose"] is True
+    # every minimal polynomial met splits into rational roots
+    assert out["after_decompose"] is False
     # P1 + P2 over linear A_4 splits into P2 and P1, each once
     assert out["summands"] == [[p, 1] for p in out["projectives"]]
+    # t^2 + 1 has no rational root: sympy factors it, and Q(i) still raises
+    assert _run_script(IRREDUCIBLE_SYMPY_SCRIPT) == {"before": False, "raised": True,
+                                                     "after": True}
