@@ -126,9 +126,12 @@ def projective_cover(m: Representation) -> tuple[Representation, Morphism, list[
 # The modules that hold a cached presentation, oldest first, by weak
 # reference.  Past ``_PRESENTED_MAX`` the oldest one still alive gives its
 # presentation up, so a caller that keeps many modules alive does not keep
-# all their presentations too.
+# all their presentations too.  Presentations are asked for again mostly
+# within one verdict (a module, its syzygies, its summands), which 32
+# entries hold; on fresh modules 256 entries bought no hits and kept
+# ~1.2 MiB alive.
 _PRESENTED: deque[weakref.ref] = deque()
-_PRESENTED_MAX = 256
+_PRESENTED_MAX = 32
 
 
 def min_presentation(m: Representation) -> ProjectivePresentation:

@@ -13,6 +13,12 @@ checks what callers pass in; elimination results are rebuilt once, one
 ``Fraction(n, pivot)`` per nonzero entry; and every matrix this module
 assembles from matrices it already holds goes through the trusted
 ``Mat._trusted``, which neither coerces nor checks.
+
+Integer rows also enter from outside, through :func:`int_kernel`:
+``rep`` builds its intertwining systems and the polynomials of its
+splitting endomorphisms in integers, and hands them straight to the
+elimination, so the only ``Fraction`` objects made there are those of
+the kernel basis it returns.
 """
 
 from __future__ import annotations
@@ -65,8 +71,9 @@ class Mat:
     def _trusted(cls, rows: int, cols: int, entries: tuple) -> "Mat":
         """A matrix over ``entries`` as given: no coercion, no shape check.
 
-        Only for grids built inside this module, which are already a
-        ``rows``-tuple of ``cols``-tuples of ``Fraction``.
+        Only for grids that are already a ``rows``-tuple of ``cols``-tuples
+        of ``Fraction``: those built inside this module, and slices of
+        their entries.
         """
         m = object.__new__(cls)
         m.rows = rows
@@ -290,6 +297,25 @@ def rank(mat: Mat) -> int:
     return len(rref(mat)[1])
 
 
+def int_kernel(rows: list[list[int]], ncols: int) -> Mat:
+    """:func:`kernel_basis` of the integer ``rows``, which it reduces in place.
+
+    Pivot column c of free column j holds ``-row[j] / row[c]``.  Scaling
+    a row by a nonzero integer changes nothing, so callers may clear
+    denominators row by row.
+    """
+    reduced, pivots = _rowred.reduce_rows(rows, ncols)
+    pivot_set = set(pivots)
+    free = [j for j in range(ncols) if j not in pivot_set]
+    out = [None] * ncols
+    for k, j in enumerate(free):
+        out[j] = _unit_row(len(free), k)
+    for row, c in zip(reduced, pivots):
+        p = row[c]
+        out[c] = tuple(Fraction(-row[j], p) if row[j] else _ZERO for j in free)
+    return Mat._trusted(ncols, len(free), tuple(out))
+
+
 def kernel_basis(mat: Mat) -> Mat:
     """Columns spanning the null space, one per free column of the RREF.
 
@@ -297,15 +323,7 @@ def kernel_basis(mat: Mat) -> Mat:
     with 1 at position ``j`` and the negated RREF column above the
     pivots, in increasing ``j`` order.
     """
-    r, pivots = rref(mat)
-    pivot_set = set(pivots)
-    free = [j for j in range(mat.cols) if j not in pivot_set]
-    out = [None] * mat.cols
-    for k, j in enumerate(free):
-        out[j] = _unit_row(len(free), k)
-    for row, c in zip(r.entries, pivots):
-        out[c] = tuple(-row[j] if row[j] else _ZERO for j in free)
-    return Mat._trusted(mat.cols, len(free), tuple(out))
+    return int_kernel(_to_int_rows(mat), mat.cols)
 
 
 def solve(mat: Mat, rhs: Mat) -> Mat | None:

@@ -13,6 +13,13 @@ ker p_i^e_i(x), so no idempotent has to be built.  Its rational roots are
 found first, by the rational root theorem; sympy is imported only when a
 factor of degree >= 2 remains or a coefficient is past the search bound.
 
+The hot paths run in integers up to the row reducer.  Hom spaces scale
+each arrow's intertwining rows to integers and read their basis from
+``linalg.int_kernel``; a splitting element x is scaled to X = d x, whose
+minimal polynomial comes from one fraction-free Krylov pass and whose
+primary kernels are those of integer multiples of p^e(X / d).  Fractions
+are built only for the bases handed back.
+
 One criterion decides summand classes: the trace pairing P(x, m)[i][j] =
 tr(g_j o f_i) of the bases f of Hom(x, m) and g of Hom(m, x).  Traces kill
 nilpotents in characteristic 0, so for x indecomposable rank P(x, m) =
@@ -29,7 +36,7 @@ from math import comb, gcd, isqrt, lcm
 
 from .algebra import BoundQuiverAlgebra, Path
 from .errors import PossibleDivisionAlgebra, RectiltError
-from .linalg import Mat, col_basis, kernel_basis, quotient, rank, rref, solve
+from .linalg import Mat, col_basis, int_kernel, kernel_basis, quotient, rank, rref, solve
 
 
 class Representation:
@@ -239,12 +246,19 @@ class SES:
 # -- hom spaces ---------------------------------------------------------
 
 
+def _times(entries, scale: int) -> list[list[int]]:
+    """The Fraction grid ``entries`` times ``scale``, a multiple of every denominator."""
+    return [[x.numerator * (scale // x.denominator) for x in row] for row in entries]
+
+
 def _intertwining_rows(m: Representation, n: Representation):
     """``(rows, offsets, total)``: the system N_a phi_i - phi_j M_a = 0 on phi: m -> n.
 
     Entry (r, c) of phi_v is unknown ``offsets[v] + r * dim m_v + c``; each
     arrow a: i -> j gives one row per entry of N_a phi_i - phi_j M_a, and
-    all-zero rows are dropped.  The kernel is Hom(m, n).  The span of the
+    all-zero rows are dropped.  The rows are integer lists: each arrow's
+    rows are scaled by the lcm of the denominators of N_a and M_a, which
+    leaves their span alone.  The kernel is Hom(m, n).  The span of the
     rows, with n = DN, is what the balanced tensor N (x) m divides out
     (N (x)_A m = D Hom_A(m, DN)).
     """
@@ -257,21 +271,24 @@ def _intertwining_rows(m: Representation, n: Representation):
     rows = []
     for a in alg.arrows:
         i, j = a.source, a.target
-        na, ma = n.maps[a.name], m.maps[a.name]
+        na, ma = n.maps[a.name].entries, m.maps[a.name].entries
+        scale = lcm(*(x.denominator for row in na + ma for x in row))
+        na, ma = _times(na, scale), _times(ma, scale)
+        mi, mj = m.dims[i], m.dims[j]
         for r in range(n.dims[j]):
-            for c in range(m.dims[i]):
-                row = [Fraction(0)] * total
+            for c in range(mi):
+                row = [0] * total
                 # (N_a phi_i)[r, c]
-                for k in range(n.dims[i]):
-                    coeff = na.entries[r][k]
-                    if coeff != 0:
-                        row[offsets[i] + k * m.dims[i] + c] += coeff
+                for k, coeff in enumerate(na[r]):
+                    if coeff:
+                        row[offsets[i] + k * mi + c] += coeff
                 # -(phi_j M_a)[r, c]
-                for l in range(m.dims[j]):
-                    coeff = ma.entries[l][c]
-                    if coeff != 0:
-                        row[offsets[j] + r * m.dims[j] + l] -= coeff
-                if any(x != 0 for x in row):
+                base = offsets[j] + r * mj
+                for l in range(mj):
+                    coeff = ma[l][c]
+                    if coeff:
+                        row[base + l] -= coeff
+                if any(row):
                     rows.append(row)
     return rows, offsets, total
 
@@ -280,24 +297,17 @@ def hom_basis(m: Representation, n: Representation) -> list[Morphism]:
     """Canonical basis of Hom(m, n): the kernel of the intertwining system."""
     if m.algebra is not n.algebra:
         raise ValueError("representations over different algebras")
-    alg = m.algebra
     rows, offsets, total = _intertwining_rows(m, n)
     if total == 0:
         return []
-    if rows:
-        k = kernel_basis(Mat.from_rows(rows))
-    else:
-        k = Mat.identity(total)
+    # the kernel's entries are all Fraction, so each component is trusted as it is sliced
+    blocks = [(v, n.dims[v], m.dims[v], offsets[v]) for v in m.algebra.vertices
+              if n.dims[v] and m.dims[v]]
     out = []
-    for c in range(k.cols):
-        comps = {}
-        for v in alg.vertices:
-            if n.dims[v] and m.dims[v]:
-                base = offsets[v]
-                comps[v] = Mat(n.dims[v], m.dims[v],
-                               [[k[base + r * m.dims[v] + col, c]
-                                 for col in range(m.dims[v])]
-                                for r in range(n.dims[v])])
+    for col in zip(*int_kernel(rows, total).entries):
+        comps = {v: Mat._trusted(nv, mv, tuple(col[base + r * mv:base + (r + 1) * mv]
+                                               for r in range(nv)))
+                 for v, nv, mv, base in blocks}
         out.append(Morphism(m, n, comps, validate=False))
     return out
 
@@ -390,7 +400,8 @@ def subrep_from_subspaces(m: Representation, spans: dict) -> tuple[Representatio
             raise ValueError(f"subspaces are not stable under arrow {a.name}")
         maps[a.name] = sol
     sub = Representation(alg, dims, maps, validate=False)
-    incl = Morphism(sub, m, dict(bases))
+    # each exact solve above gave B_t S_a = M_a B_s: the bases already intertwine
+    incl = Morphism(sub, m, dict(bases), validate=False)
     return sub, incl
 
 
@@ -524,25 +535,66 @@ def hom_from_projective(algebra: BoundQuiverAlgebra, v: str, m: Representation,
 # -- decomposition ---------------------------------------------------------
 
 
+def _scaled(x: Morphism) -> tuple[int, dict]:
+    """``(d, X)``: the least d making X = d x integral, and X's vertex matrices."""
+    d = lcm(*(e.denominator for c in x.components.values() for row in c.entries for e in row))
+    return d, {v: _times(c.entries, d) for v, c in x.components.items()}
+
+
+def _int_matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    cols = list(zip(*b))
+    return [[sum(p * q for p, q in zip(row, col)) for col in cols] for row in a]
+
+
+def _krylov_reduce(stored, vec: list[int], comb: list[int]):
+    """Reduce ``vec`` against the stored rows, fraction-free, in storage order.
+
+    ``stored`` holds ``(pivot, row, row_comb)``; each row is zero at the
+    pivots stored before it, so one pass clears every pivot.  ``comb``
+    undergoes the same operations, so it keeps expressing ``vec`` in the
+    powers.  Returns the reduced ``(vec, comb)``, divided by their gcd.
+    """
+    for c, row, row_comb in stored:
+        f = vec[c]
+        if f:
+            p = row[c]
+            vec = [p * a - f * b for a, b in zip(vec, row)]
+            comb = [p * a - f * b for a, b in zip(comb, row_comb)]
+    g = gcd(*vec, *comb)
+    if g > 1:
+        vec = [a // g for a in vec]
+        comb = [a // g for a in comb]
+    return vec, comb
+
+
 def _min_poly(x: Morphism):
     """Monic minimal polynomial of the endomorphism x of M, highest degree first.
 
-    The first linear dependency among the flattened powers x^0, x^1, ...;
-    its degree is at most dim M, so needing more than dim M + 1 powers is
-    an error.
+    One integer Krylov pass: the flattened powers X^0, X^1, ... of X = d x
+    are reduced, fraction-free, against the earlier ones, each stored row
+    carrying its combination of powers, down to the first dependency
+    sum c_i X^i = 0 with c_k != 0.  That is the minimal polynomial q_X of
+    X, and x's is q_X(d t) / d^k.  Its degree is at most dim M, so needing
+    more than dim M + 1 powers is an error.
     """
     m = x.source
-    current = identity_morphism(m)
-    powers = [flatten_morphism(current)]
-    while len(powers) <= m.total_dim:
-        current = x.compose(current)
-        flat = flatten_morphism(current)
-        k = len(powers)
-        sol = solve(Mat.from_rows(powers).transpose(), Mat.column(flat))
-        if sol is not None:
-            return [Fraction(1)] + [-sol[k - 1 - i, 0] for i in range(k)]
-        powers.append(flat)
-    raise RectiltError(f"no minimal polynomial within {len(powers)} powers of an "
+    d, big = _scaled(x)
+    power = {v: [[int(r == c) for c in range(len(mat))] for r in range(len(mat))]
+             for v, mat in big.items()}
+    cap = m.total_dim + 1
+    stored = []
+    for k in range(cap):
+        if k:
+            power = {v: _int_matmul(big[v], power[v]) for v in big}
+        unit = [0] * cap
+        unit[k] = 1
+        vec, comb = _krylov_reduce(stored, [e for mat in power.values() for row in mat
+                                            for e in row], unit)
+        pivot = next((c for c, e in enumerate(vec) if e), None)
+        if pivot is None:
+            return [Fraction(comb[i], comb[k] * d ** (k - i)) for i in range(k, -1, -1)]
+        stored.append((pivot, vec, comb))
+    raise RectiltError(f"no minimal polynomial within {cap} powers of an "
                        f"endomorphism of a module of dimension {m.total_dim}")
 
 
@@ -618,20 +670,28 @@ def _primary_factors(coeffs):
             for base, mult in poly.factor_list()[1]]
 
 
-def _eval_poly(coeffs, x: Morphism) -> Morphism:
-    """The endomorphism coeffs(x), by Horner's rule on each vertex matrix.
+def _primary_spans(coeffs, d: int, big: dict) -> dict:
+    """The vertex spans of ker p(x), from the integer matrices X = d x.
 
-    ``coeffs`` run from the highest degree down, degree >= 1; the rule
-    starts from c0 X + c1 I at each vertex.
+    With L the lcm of the denominators of p = ``coeffs`` (highest degree
+    first, degree e >= 1), L d^e p(x) = sum_i L p_i d^i X^(e - i) has
+    integer coefficients and the same kernel; Horner's rule evaluates it
+    on each vertex matrix, starting from b_0 X + b_1 I.
     """
-    comps = {}
-    for v, mat in x.components.items():
-        one = Mat.identity(mat.rows)
-        acc = mat.scale(coeffs[0]) + one.scale(coeffs[1])
-        for c in coeffs[2:]:
-            acc = mat @ acc + one.scale(c) if c else mat @ acc
-        comps[v] = acc
-    return Morphism(x.source, x.source, comps, validate=False)
+    scale = lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (scale // c.denominator) * d ** i for i, c in enumerate(coeffs)]
+    spans = {}
+    for v, mat in big.items():
+        n = len(mat)
+        acc = [[ints[0] * e for e in row] for row in mat]
+        for r in range(n):
+            acc[r][r] += ints[1]
+        for b in ints[2:]:
+            acc = _int_matmul(mat, acc)
+            for r in range(n):
+                acc[r][r] += b
+        spans[v] = int_kernel(acc, n)
+    return spans
 
 
 def _split_candidates(dim: int):
@@ -673,7 +733,8 @@ def _split_once(m: Representation):
         factors = _primary_factors(_min_poly(x))
         if len(factors) < 2:
             continue
-        pieces = [kernel(_eval_poly(p, x))[0] for p in factors]
+        scale, big = _scaled(x)
+        pieces = [subrep_from_subspaces(m, _primary_spans(p, scale, big))[0] for p in factors]
         if any(sum(piece.dims[v] for piece in pieces) != d for v, d in m.dims.items()):
             raise RectiltError("the primary kernels of an endomorphism do not add up to M")
         return pieces

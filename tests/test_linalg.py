@@ -7,7 +7,8 @@ import pytest
 
 from rectilt import linalg
 from rectilt.errors import RectiltError
-from rectilt.linalg import Mat, col_basis, kernel_basis, quotient, rank, rref, solve
+from rectilt.linalg import (Mat, _to_int_rows, col_basis, int_kernel, kernel_basis,
+                            quotient, rank, rref, solve)
 
 
 def M(rows):
@@ -300,3 +301,16 @@ def test_matches_naive_fraction_gauss_jordan():
         assert solve(m, rhs) == want
         inconsistent += want is None
     assert inconsistent >= 20
+
+
+def test_int_kernel_is_kernel_basis_on_integer_rows():
+    # integer and rational matrices, 0-row and 0-column shapes included
+    rng = random.Random(9)
+    shapes = [(0, 0), (0, 3), (3, 0), (1, 1)] + [(rng.randint(0, 6), rng.randint(0, 6))
+                                                  for _ in range(60)]
+    for k, (rows, cols) in enumerate(shapes):
+        if k % 2:
+            m = Mat(rows, cols, [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)])
+        else:
+            m = _sparse_random_mat(rng, rows, cols)
+        assert int_kernel(_to_int_rows(m), m.cols) == kernel_basis(m) == _naive_kernel(m)

@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 from rectilt import rep as rep_module
 from rectilt.algebra import Quiver, build_algebra
 from rectilt.errors import PossibleDivisionAlgebra, RectiltError
-from rectilt.homology import enumerate_roster
-from rectilt.linalg import Mat, rank, solve
+from rectilt.homology import enumerate_roster, tensor_dim_data
+from rectilt.linalg import Mat, kernel_basis, quotient, rank, solve
 from rectilt.rep import (
     SES,
     Morphism,
@@ -26,8 +26,10 @@ from rectilt.rep import (
     add_equal,
     decompose,
     direct_sum,
+    dual,
     direct_sum_with_maps,
     cokernel,
+    flatten_morphism,
     hom_basis,
     hom_dim,
     identity_morphism,
@@ -246,7 +248,7 @@ def test_split_candidates_keep_their_order():
 
 def test_min_poly_loop_is_capped(inner, monkeypatch):
     # with no linear dependency among the powers the search must stop at dim M + 1
-    monkeypatch.setattr(rep_module, "solve", lambda mat, rhs: None)
+    monkeypatch.setattr(rep_module, "_krylov_reduce", lambda stored, vec, comb: (vec, comb))
     m = direct_sum(inner, [projective(inner, "1"), simple(inner, "1")])
     with pytest.raises(RectiltError, match="no minimal polynomial within 4 powers"):
         decompose(m)
@@ -254,8 +256,9 @@ def test_min_poly_loop_is_capped(inner, monkeypatch):
 
 def test_primary_kernels_must_add_up(inner, monkeypatch):
     # the check must still fire under ``python -O``
-    monkeypatch.setattr(rep_module, "_eval_poly", lambda coeffs, x: zero_morphism(
-        x.source, x.source))
+    # every primary kernel is all of M, as if each p^e(x) were zero
+    monkeypatch.setattr(rep_module, "_primary_spans", lambda coeffs, d, big: {
+        v: Mat.identity(len(mat)) for v, mat in big.items()})
     m = direct_sum(inner, [projective(inner, "1"), simple(inner, "1")])
     with pytest.raises(RectiltError, match="do not add up"):
         decompose(m)
@@ -474,6 +477,139 @@ def test_trace_pairing_decides_summands(rosters, data):
     with_factors = direct_sum(alg, [mods[i] for i in picks] + _simple_factors(x))
     assert not is_isomorphic(with_x, with_factors)[0]
     assert not is_isomorphic(with_factors, with_x)[0]
+
+
+# -- integer hom systems and Krylov against their Fraction references --------------------
+
+def _rational_conjugate(m, rng):
+    """m with each vertex basis changed by an invertible matrix of small fractions."""
+    g = {}
+    for v in m.algebra.vertices:
+        n = m.dims[v]
+        while True:
+            cand = Mat(n, n, [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+                              for _ in range(n)])
+            if rank(cand) == n:
+                break
+        g[v] = cand
+    maps = {a.name: g[a.target] @ m.maps[a.name]
+            @ solve(g[a.source], Mat.identity(m.dims[a.source]))
+            for a in m.algebra.arrows}
+    return Representation(m.algebra, dict(m.dims), maps)
+
+
+def _kron(a, b):
+    return Mat(a.rows * b.rows, a.cols * b.cols,
+               [[a[i // b.rows, j // b.cols] * b[i % b.rows, j % b.cols]
+                 for j in range(a.cols * b.cols)] for i in range(a.rows * b.rows)])
+
+
+def _fraction_system(m, n):
+    """Hom(m, n)'s intertwining system in Fractions, with phi_v flattened row-major.
+
+    Arrow a: i -> j contributes vec(N_a phi_i - phi_j M_a) =
+    (N_a (x) I) vec(phi_i) - (I (x) M_a^T) vec(phi_j).
+    """
+    alg = m.algebra
+    offsets, total = {}, 0
+    for v in alg.vertices:
+        offsets[v] = total
+        total += n.dims[v] * m.dims[v]
+    rows = []
+    for a in alg.arrows:
+        i, j = a.source, a.target
+        left = _kron(n.maps[a.name], Mat.identity(m.dims[i]))
+        right = _kron(Mat.identity(n.dims[j]), m.maps[a.name].transpose())
+        for r in range(left.rows):
+            row = [Fraction(0)] * total
+            for c in range(left.cols):
+                row[offsets[i] + c] += left[r, c]
+            for c in range(right.cols):
+                row[offsets[j] + c] -= right[r, c]
+            rows.append(row)
+    return Mat(len(rows), total, rows), offsets, total
+
+
+def _reference_hom_basis(m, n):
+    system, offsets, total = _fraction_system(m, n)
+    k = kernel_basis(system)
+    return [{v: Mat(n.dims[v], m.dims[v],
+                    [[k[offsets[v] + r * m.dims[v] + c, col] for c in range(m.dims[v])]
+                     for r in range(n.dims[v])])
+             for v in m.algebra.vertices}
+            for col in range(k.cols)]
+
+
+def _solve_loop_min_poly(x):
+    """The first dependency of x^k on the lower powers, one ``solve`` per power."""
+    current = identity_morphism(x.source)
+    powers = [flatten_morphism(current)]
+    for _ in range(x.source.total_dim):
+        current = x.compose(current)
+        flat = flatten_morphism(current)
+        sol = solve(Mat.from_rows(powers).transpose(), Mat.column(flat))
+        if sol is not None:
+            k = len(powers)
+            return [Fraction(1)] + [-sol[k - 1 - i, 0] for i in range(k)]
+        powers.append(flat)
+    raise AssertionError("Cayley-Hamilton bounds the degree by dim M")
+
+
+def _poly_at(coeffs, x):
+    """coeffs(x) by Horner's rule, vertex by vertex, in Fractions."""
+    out = {}
+    for v, mat in x.components.items():
+        acc = Mat.zeros(mat.rows, mat.cols)
+        for c in coeffs:
+            acc = mat @ acc + Mat.identity(mat.rows).scale(c)
+        out[v] = acc
+    return out
+
+
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(st.data())
+def test_integer_systems_match_fraction_references(rosters, data):
+    roster = rosters[data.draw(st.integers(0, 1), label="algebra")]
+    mods, alg = roster.modules, roster.algebra
+    rng = random.Random(data.draw(st.integers(0, 2 ** 16), label="g"))
+
+    def draw_sum(label):
+        picks = data.draw(st.lists(st.integers(0, len(mods) - 1), min_size=1, max_size=3),
+                          label=label)
+        return _rational_conjugate(direct_sum(alg, [mods[i] for i in picks]), rng)
+
+    m, n = draw_sum("m"), draw_sum("n")
+    for a, b in ((m, n), (n, m), (m, m)):
+        assert [f.components for f in hom_basis(a, b)] == _reference_hom_basis(a, b)
+
+    ends = hom_basis(m, m)
+    coeffs = data.draw(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=3),
+                                min_size=len(ends), max_size=len(ends)), label="x")
+    x = rep_module._linear_combination(m, m, coeffs, ends)
+    poly = rep_module._min_poly(x)
+    assert poly[0] == 1
+    assert all(c.is_zero() for c in _poly_at(poly, x).values())
+    assert poly == _solve_loop_min_poly(x)
+
+    # N = D n, a right module with fractional maps; then DN = n
+    system, offsets, total = _fraction_system(m, n)
+    dim, proj = quotient(total, system.transpose())
+    assert tensor_dim_data(dual(n), m) == (dim, proj, offsets, total)
+
+
+def test_subrep_inclusion_is_a_validated_morphism(rosters):
+    # subrep_from_subspaces skips the intertwining check; a validated Morphism must agree
+    rng = random.Random(4)
+    proper = 0
+    for roster in rosters:
+        for _ in range(3):
+            m = _rational_conjugate(direct_sum(roster.algebra, rng.sample(roster.modules, 3)),
+                                    rng)
+            for f in hom_basis(m, m)[:4]:
+                for sub, incl in (kernel(f), image(f)):
+                    assert Morphism(sub, m, incl.components).components == incl.components
+                    proper += 0 < sub.total_dim < m.total_dim
+    assert proper >= 10
 
 
 # -- sympy is imported only for a factor of degree >= 2 -----------------------------------
