@@ -6,8 +6,10 @@ every conclusion: pd <= 1, self-orthogonality, the coresolution, the
 partition identity between the glued membership predicates and the trace
 partition of the result, and the Ext-projectivity identity.
 
-The backward direction restricts a tilting module to the parts, always
-certifying tilting-ness of the outer restriction and reporting which
+The backward direction restricts a tilting module to one part, in one
+routine for both sides.  It partitions T's roster once, sends the torsion
+and free classes through the side's restriction functors, always
+certifies tilting-ness of the outer restriction, and reports which
 closure hypotheses (and hence which partition equalities) survive.
 """
 
@@ -143,14 +145,9 @@ def glue_tilting(spec: GluedPairSpec, roster: Roster | None = None) -> GlueCerti
     if roster is None:
         roster = enumerate_roster(ctx.algebra)
     part = partition_roster(glued, roster)
-    matches = True
-    for i, m in enumerate(roster.modules):
-        want = glued_membership(spec, m)
-        got = "torsion" if i in part.torsion else (
-            "free" if i in part.free else "neither")
-        if want != got:
-            matches = False
-            break
+    got = {**dict.fromkeys(part.torsion, "torsion"), **dict.fromkeys(part.free, "free"),
+           **dict.fromkeys(part.neither, "neither")}
+    matches = all(glued_membership(spec, m) == got[i] for i, m in enumerate(roster.modules))
     torsion_mods = [roster.modules[i] for i in part.torsion]
     projs = ext_projectives(torsion_mods)
     projs_match = add_equal([projs], [glued])
@@ -169,55 +166,6 @@ def glue_tilting(spec: GluedPairSpec, roster: Roster | None = None) -> GlueCerti
 
 
 # -- restriction ----------------------------------------------------------------
-
-
-def restricted_pair(ctx: RecollementContext, t: Representation, side: str,
-                    roster: Roster | None = None):
-    """Images of the induced torsion pair under the restriction functors.
-
-    Returns (torsion classes, free classes) as lists of indecomposables.
-    """
-    if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
-    if roster is None:
-        roster = enumerate_roster(ctx.algebra)
-    part = partition_roster(t, roster)
-
-    def images(indices, functor):
-        return summand_classes([functor(roster.modules[i]) for i in indices])
-
-    if side == "left":
-        tclass = images(part.torsion, lambda m: i_upper_star(ctx, m))
-        fclass = images(part.free, lambda m: i_shriek(ctx, m))
-    else:
-        tclass = images(part.torsion, lambda m: j_star_upper(ctx, m))
-        fclass = images(part.free, lambda m: j_star_upper(ctx, m))
-    return tclass, fclass
-
-
-def check_restriction_hypotheses(ctx: RecollementContext, t: Representation,
-                                 roster: Roster | None = None) -> dict:
-    """Closure of both classes under j_* j^* plus exactness of j_*.
-
-    Reports the first witness violating either inclusion.
-    """
-    if roster is None:
-        roster = enumerate_roster(ctx.algebra)
-    part = partition_roster(t, roster)
-    tlist = [roster.modules[i] for i in part.torsion]
-    flist = [roster.modules[i] for i in part.free]
-    report = {"torsion_closed": True, "torsion_witness": None,
-              "free_closed": True, "free_witness": None,
-              "j_star_lower_exact": True}
-    for name, cls in (("free", flist), ("torsion", tlist)):
-        for m in cls:
-            back = j_star_lower(ctx, j_star_upper(ctx, m))
-            if not in_add_of(back, cls):
-                report[f"{name}_closed"] = False
-                report[f"{name}_witness"] = back.to_json()["dims"]
-                break
-    report["holds"] = report["torsion_closed"] and report["free_closed"]
-    return report
 
 
 @dataclass
@@ -242,17 +190,55 @@ class RestrictionResult:
         }
 
 
-def _induces_pair(module: Representation, tclass, fclass) -> bool:
-    """Whether the restricted classes are the torsion pair module induces on its algebra.
+def _restrict(ctx: RecollementContext, t: Representation, roster: Roster | None,
+              side: str) -> RestrictionResult:
+    """The body of ``restrict_left`` (side "left") and ``restrict_right`` ("right").
 
-    Both classes must match the trace partition of the algebra's roster,
-    and no roster module may fall outside both.
+    T and the torsion modules go through the side's restriction, i^* or
+    j^*; the free modules through i^! or j^*.  T's roster is partitioned
+    once.  The right side reports the closure of both classes under
+    j_* j^*; the left side reports the exactness of i^*, and certifies
+    nothing when i^* is inexact.  ``partition_equal`` says whether the
+    restricted classes are the torsion pair that the restricted module
+    induces on its own algebra's roster, with no module outside both.
     """
-    roster = enumerate_roster(module.algebra)
-    part = partition_roster(module, roster)
-    return (add_equal(tclass, [roster.modules[i] for i in part.torsion])
-            and add_equal(fclass, [roster.modules[i] for i in part.free])
-            and not part.neither)
+    left = side == "left"
+    restrict, restrict_free = (i_upper_star, i_shriek) if left else (j_star_upper, j_star_upper)
+    summands = summand_classes([restrict(ctx, t)])
+    module = direct_sum(ctx.inner_algebra if left else ctx.outer_algebra, summands)
+    if left:
+        exact = check_exactness(ctx)
+        hyp = {"i_upper_star_exact": exact.i_upper_star_exact,
+               "tor1_on_simples": exact.i_upper_star_tor}
+        if not exact.i_upper_star_exact:
+            return RestrictionResult(side, module, summands, None, False, hyp, None)
+    cert = is_tilting(module)
+    if roster is None:
+        roster = enumerate_roster(ctx.algebra)
+    part = partition_roster(t, roster)
+    torsion = [roster.modules[i] for i in part.torsion]
+    free = [roster.modules[i] for i in part.free]
+    if not left:
+        hyp = {"torsion_closed": True, "torsion_witness": None,
+               "free_closed": True, "free_witness": None,
+               "j_star_lower_exact": True}
+        for name, cls in (("free", free), ("torsion", torsion)):
+            for m in cls:
+                back = j_star_lower(ctx, j_star_upper(ctx, m))
+                if not in_add_of(back, cls):
+                    hyp[f"{name}_closed"] = False
+                    hyp[f"{name}_witness"] = back.to_json()["dims"]
+                    break
+        hyp["holds"] = hyp["torsion_closed"] and hyp["free_closed"]
+    tclass = summand_classes([restrict(ctx, m) for m in torsion])
+    fclass = summand_classes([restrict_free(ctx, m) for m in free])
+    own = enumerate_roster(module.algebra)
+    induced = partition_roster(module, own)
+    equal = (not induced.neither
+             and add_equal(tclass, [own.modules[i] for i in induced.torsion])
+             and add_equal(fclass, [own.modules[i] for i in induced.free]))
+    return RestrictionResult(side, module, summands, cert, True, hyp, equal,
+                             (tclass, fclass))
 
 
 def restrict_right(ctx: RecollementContext, t: Representation,
@@ -262,16 +248,7 @@ def restrict_right(ctx: RecollementContext, t: Representation,
     The partition equality with (Gen j^*T, perp) is certified only when
     the closure hypotheses hold; its verdict is reported either way.
     """
-    if roster is None:
-        roster = enumerate_roster(ctx.algebra)
-    summands = summand_classes([j_star_upper(ctx, t)])
-    module = direct_sum(ctx.outer_algebra, summands)
-    cert = is_tilting(module)
-    hyp = check_restriction_hypotheses(ctx, t, roster)
-    tclass, fclass = restricted_pair(ctx, t, "right", roster)
-    eq = _induces_pair(module, tclass, fclass)
-    return RestrictionResult("right", module, summands, cert, True, hyp, eq,
-                             (tclass, fclass))
+    return _restrict(ctx, t, roster, "right")
 
 
 def restrict_left(ctx: RecollementContext, t: Representation,
@@ -281,17 +258,4 @@ def restrict_left(ctx: RecollementContext, t: Representation,
     When i^* is inexact no exception is raised: the module is returned
     with its tilting-ness flagged unverified.
     """
-    if roster is None:
-        roster = enumerate_roster(ctx.algebra)
-    exact = check_exactness(ctx)
-    summands = summand_classes([i_upper_star(ctx, t)])
-    module = direct_sum(ctx.inner_algebra, summands)
-    hyp = {"i_upper_star_exact": exact.i_upper_star_exact,
-           "tor1_on_simples": exact.i_upper_star_tor}
-    if not exact.i_upper_star_exact:
-        return RestrictionResult("left", module, summands, None, False, hyp, None)
-    cert = is_tilting(module)
-    tclass, fclass = restricted_pair(ctx, t, "left", roster)
-    eq = _induces_pair(module, tclass, fclass)
-    return RestrictionResult("left", module, summands, cert, True, hyp, eq,
-                             (tclass, fclass))
+    return _restrict(ctx, t, roster, "left")

@@ -59,8 +59,8 @@ def _arrow_image_spans(m: Representation) -> dict:
     alg = m.algebra
     spans = {}
     for v in alg.vertices:
-        cols = [m.maps[a.name] for a in alg.arrows if a.target == v]
-        spans[v] = Mat.hstack(cols, rows=m.dims[v]) if cols else Mat.zeros(m.dims[v], 0)
+        spans[v] = Mat.hstack([m.maps[a.name] for a in alg.arrows if a.target == v],
+                              rows=m.dims[v])
     return spans
 
 
@@ -117,7 +117,8 @@ def projective_cover(m: Representation) -> tuple[Representation, Morphism, list[
     for v in alg.vertices:
         blocks = [f.components[v] for f in pieces]
         comps[v] = Mat.hstack(blocks, rows=m.dims[v])
-    surj = Morphism(p0, m, comps)
+    # stacked from validated hom_from_projective maps, so it intertwines already
+    surj = Morphism(p0, m, comps, validate=False)
     if not surj.is_surjective():
         raise RectiltError("projective cover failed to surject")
     return p0, surj, vertices

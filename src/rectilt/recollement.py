@@ -95,35 +95,33 @@ def split_context(algebra: BoundQuiverAlgebra, outer_vertices) -> RecollementCon
 # -- restrictions and zero extensions ------------------------------------
 
 
+def _carry(m: Representation, source: BoundQuiverAlgebra, onto: BoundQuiverAlgebra,
+           what: str) -> Representation:
+    """m's spaces and maps at the vertices and arrows of ``onto``, zero where m has none.
+
+    Restriction to a part and extension by zero from it alike: no map
+    changes, so the result needs no check.  ``what`` names ``source``.
+    """
+    if m.algebra is not source:
+        raise ValueError(f"expected a module over the {what} algebra")
+    return Representation(onto, m.dims, m.maps, validate=False)
+
+
 def i_shriek(ctx: RecollementContext, m: Representation) -> Representation:
     """The inner part; a submodule since arrows only run outer -> inner."""
-    alg = ctx.inner_algebra
-    dims = {v: m.dims[v] for v in ctx.inner_vertices}
-    maps = {a.name: m.maps[a.name] for a in alg.arrows}
-    return Representation(alg, dims, maps, validate=False)
+    return _carry(m, ctx.algebra, ctx.inner_algebra, "whole")
 
 
 def j_star_upper(ctx: RecollementContext, m: Representation) -> Representation:
-    alg = ctx.outer_algebra
-    dims = {v: m.dims[v] for v in ctx.outer_vertices}
-    maps = {a.name: m.maps[a.name] for a in alg.arrows}
-    return Representation(alg, dims, maps, validate=False)
+    return _carry(m, ctx.algebra, ctx.outer_algebra, "whole")
 
 
 def i_star(ctx: RecollementContext, x: Representation) -> Representation:
-    if x.algebra is not ctx.inner_algebra:
-        raise ValueError("i_star expects a module over the inner algebra")
-    dims = {v: x.dims[v] for v in ctx.inner_vertices}
-    maps = {a.name: x.maps[a.name] for a in ctx.inner_algebra.arrows}
-    return Representation(ctx.algebra, dims, maps, validate=False)
+    return _carry(x, ctx.inner_algebra, ctx.algebra, "inner")
 
 
 def j_star_lower(ctx: RecollementContext, y: Representation) -> Representation:
-    if y.algebra is not ctx.outer_algebra:
-        raise ValueError("j_star_lower expects a module over the outer algebra")
-    dims = {v: y.dims[v] for v in ctx.outer_vertices}
-    maps = {a.name: y.maps[a.name] for a in ctx.outer_algebra.arrows}
-    return Representation(ctx.algebra, dims, maps, validate=False)
+    return _carry(y, ctx.outer_algebra, ctx.algebra, "outer")
 
 
 def i_upper_star(ctx: RecollementContext, m: Representation) -> Representation:
@@ -305,6 +303,9 @@ def quotient_right_module(ctx: RecollementContext) -> Representation:
     return _right_module(alg, alg, inner)
 
 
+FUNCTOR_NAMES = ("i*", "i_*", "i!", "j_!", "j*", "j_*")
+
+
 @dataclass
 class ExactnessReport:
     structural: dict
@@ -329,14 +330,7 @@ class ExactnessReport:
             "structural": self.structural,
             "j_shriek_tor1_on_simples": self.j_shriek_tor,
             "i_upper_star_tor1_on_simples": self.i_upper_star_tor,
-            "exact": {
-                "i*": self.i_upper_star_exact,
-                "i_*": True,
-                "i!": True,
-                "j_!": self.j_shriek_exact,
-                "j*": True,
-                "j_*": True,
-            },
+            "exact": {name: self.functor_exact(name) for name in FUNCTOR_NAMES},
         }
 
 
@@ -388,20 +382,10 @@ def verify_recollement_identities(ctx: RecollementContext, lambda_samples,
     return {"checks": checks, "all_pass": all(c["pass"] for c in checks)}
 
 
-FUNCTOR_NAMES = ("i*", "i_*", "i!", "j_!", "j*", "j_*")
-
-
 def apply_functor(ctx: RecollementContext, name: str, m: Representation) -> Representation:
-    if name == "i*":
-        return i_upper_star(ctx, m)
-    if name == "i_*":
-        return i_star(ctx, m)
-    if name == "i!":
-        return i_shriek(ctx, m)
-    if name == "j_!":
-        return j_shriek(ctx, m)
-    if name == "j*":
-        return j_star_upper(ctx, m)
-    if name == "j_*":
-        return j_star_lower(ctx, m)
-    raise ValueError(f"unknown functor {name!r}; expected one of {FUNCTOR_NAMES}")
+    # looked up per call, so a rebinding of a functor's module attribute is seen
+    functors = {"i*": i_upper_star, "i_*": i_star, "i!": i_shriek,
+                "j_!": j_shriek, "j*": j_star_upper, "j_*": j_star_lower}
+    if name not in functors:
+        raise ValueError(f"unknown functor {name!r}; expected one of {FUNCTOR_NAMES}")
+    return functors[name](ctx, m)

@@ -268,9 +268,13 @@ def _intertwining_rows(m: Representation, n: Representation):
     for v in alg.vertices:
         offsets[v] = total
         total += n.dims[v] * m.dims[v]
+    if total == 0:
+        return [], offsets, 0
     rows = []
     for a in alg.arrows:
         i, j = a.source, a.target
+        if not n.dims[j] or not m.dims[i]:
+            continue                    # N_a phi_i - phi_j M_a is an empty matrix
         na, ma = n.maps[a.name].entries, m.maps[a.name].entries
         scale = lcm(*(x.denominator for row in na + ma for x in row))
         na, ma = _times(na, scale), _times(ma, scale)
@@ -421,7 +425,8 @@ def quotient_rep(m: Representation, spans: dict) -> tuple[Representation, Morphi
             raise ValueError(f"subspaces are not stable under arrow {a.name}")
         maps[a.name] = sol.transpose()
     quot = Representation(alg, dims, maps, validate=False)
-    proj = Morphism(m, quot, projs)
+    # each exact solve above gave S_a P_s = P_t M_a: the projections already intertwine
+    proj = Morphism(m, quot, projs, validate=False)
     return quot, proj
 
 

@@ -184,19 +184,32 @@ def _left_approximation(v, classes, radical_spans) -> Morphism:
 # -- trace and membership ----------------------------------------------------
 
 
+def _images(basis, m: Representation) -> tuple[Representation, Morphism]:
+    """The submodule of m spanned by the images of the maps in ``basis``."""
+    return subrep_from_subspaces(m, {v: Mat.hstack([f.components[v] for f in basis],
+                                                  rows=m.dims[v])
+                                     for v in m.algebra.vertices})
+
+
 def trace(t: Representation, m: Representation) -> tuple[Representation, Morphism]:
     """The trace of t in m: sum of images of all morphisms t -> m."""
+    return _images(hom_basis(t, m), m)
+
+
+def _classify(t: Representation, m: Representation) -> str:
+    """Where m lies: Gen t ("torsion"), t-perp ("free") or "neither", from one Hom basis.
+
+    The trace is the span of the basis's images.  An empty basis makes m
+    free unless m = 0, which lies in both classes and is called torsion.
+    """
     basis = hom_basis(t, m)
-    spans = {}
-    for v in m.algebra.vertices:
-        cols = [f.components[v] for f in basis]
-        spans[v] = Mat.hstack(cols, rows=m.dims[v]) if cols else Mat.zeros(m.dims[v], 0)
-    return subrep_from_subspaces(m, spans)
+    if not basis:
+        return "torsion" if m.is_zero() else "free"
+    return "torsion" if _images(basis, m)[0].dims == m.dims else "neither"
 
 
 def gen_member(t: Representation, m: Representation) -> bool:
-    tr, _ = trace(t, m)
-    return tr.dims == m.dims
+    return trace(t, m)[0].dims == m.dims
 
 
 def perp_member(t: Representation, m: Representation) -> bool:
@@ -242,12 +255,7 @@ def partition_roster(t: Representation, roster: Roster) -> RosterPartition:
     """Classify each indecomposable by trace membership."""
     part = RosterPartition(roster, [], [])
     for i, m in enumerate(roster.modules):
-        if gen_member(t, m):
-            part.torsion.append(i)
-        elif perp_member(t, m):
-            part.free.append(i)
-        else:
-            part.neither.append(i)
+        getattr(part, _classify(t, m)).append(i)
     return part
 
 

@@ -5,13 +5,11 @@ import pytest
 from rectilt.errors import HypothesisFailed
 from rectilt.gluing import (
     GluedPairSpec,
-    check_restriction_hypotheses,
     glue_tilting,
     glued_membership,
     glued_pair_is_tilting,
     restrict_left,
     restrict_right,
-    restricted_pair,
 )
 from rectilt.homology import enumerate_roster
 from rectilt.recollement import i_upper_star, split_context
@@ -150,7 +148,7 @@ def test_case3_restriction(ctx, roster, outer_roster, glued):
 def test_case3_pair_is_not_a_torsion_pair(ctx, roster, outer_roster, glued):
     from rectilt.tilting import is_torsion_pair
     t = t_case3(roster, glued)
-    tclass, fclass = restricted_pair(ctx, t, "right", roster)
+    tclass, fclass = restrict_right(ctx, t, roster).restricted_classes
     verdict = is_torsion_pair(tclass, fclass, outer_roster)
     assert not verdict.holds
     assert verdict.witness["from_dims"] == verdict.witness["to_dims"] \
@@ -173,7 +171,7 @@ def test_case4_restriction(ctx, roster, outer_roster, glued):
 def test_case4_pair_is_a_torsion_pair(ctx, roster, outer_roster, glued):
     from rectilt.tilting import is_torsion_pair
     t = t_case4(roster, glued)
-    tclass, fclass = restricted_pair(ctx, t, "right", roster)
+    tclass, fclass = restrict_right(ctx, t, roster).restricted_classes
     assert is_torsion_pair(tclass, fclass, outer_roster).holds
 
 
@@ -230,5 +228,5 @@ def test_glue_rejects_non_tilting_inputs(ctx, roster):
 
 def test_check_restriction_hypotheses_trivial_for_regular(ctx, roster, glued):
     from rectilt.rep import regular_module
-    report = check_restriction_hypotheses(ctx, regular_module(glued), roster)
+    report = restrict_right(ctx, regular_module(glued), roster).hypotheses
     assert report["holds"]

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from rectilt import rep as rep_module
 from rectilt.algebra import Quiver, build_algebra
 from rectilt.errors import PossibleDivisionAlgebra, RectiltError
-from rectilt.homology import enumerate_roster, tensor_dim_data
+from rectilt.homology import enumerate_roster, projective_cover, tensor_dim_data
 from rectilt.linalg import Mat, kernel_basis, quotient, rank, solve
 from rectilt.rep import (
     SES,
@@ -598,17 +598,22 @@ def test_integer_systems_match_fraction_references(rosters, data):
 
 
 def test_subrep_inclusion_is_a_validated_morphism(rosters):
-    # subrep_from_subspaces skips the intertwining check; a validated Morphism must agree
+    # subrep_from_subspaces, quotient_rep and projective_cover skip the intertwining
+    # check on the maps they build; a validated Morphism must agree
     rng = random.Random(4)
     proper = 0
     for roster in rosters:
         for _ in range(3):
             m = _rational_conjugate(direct_sum(roster.algebra, rng.sample(roster.modules, 3)),
                                     rng)
+            p0, surj, _ = projective_cover(m)
+            assert Morphism(p0, m, surj.components).components == surj.components
             for f in hom_basis(m, m)[:4]:
                 for sub, incl in (kernel(f), image(f)):
                     assert Morphism(sub, m, incl.components).components == incl.components
                     proper += 0 < sub.total_dim < m.total_dim
+                quot, proj = cokernel(f)
+                assert Morphism(m, quot, proj.components).components == proj.components
     assert proper >= 10
 
 

@@ -8,7 +8,7 @@ import pytest
 from rectilt import tilting as tilting_module
 from rectilt.algebra import Quiver, build_algebra
 from rectilt.errors import RectiltError
-from rectilt.homology import enumerate_roster
+from rectilt.homology import enumerate_roster, tau_inverse
 from rectilt.linalg import Mat
 from rectilt.rep import (
     Morphism,
@@ -22,6 +22,7 @@ from rectilt.rep import (
     projective,
     regular_module,
     simple,
+    zero_rep,
 )
 from rectilt.tilting import (
     ext_projectives,
@@ -232,6 +233,37 @@ def test_partition_for_t_prime(inner, inner_roster):
 def test_partition_for_regular(inner, inner_roster):
     part = partition_roster(regular_module(inner), inner_roster)
     assert part.counts() == (3, 0, 0)
+
+
+def _apr_tilt(alg):
+    """An APR tilting module: tau^-1 P(v) with every other P(w).
+
+    v is the first vertex whose projective is simple and not injective.
+    """
+    v = next(v for v in alg.vertices
+             if projective(alg, v).total_dim == 1 and injective(alg, v).total_dim > 1)
+    return direct_sum(alg, [projective(alg, w) for w in alg.vertices if w != v]
+                      + [tau_inverse(projective(alg, v))])
+
+
+def test_classify_agrees_with_membership_predicates(glued, product_algebra,
+                                                    mutated_algebra):
+    a4 = build_algebra(Quiver(["1", "2", "3", "4"],
+                              [("a", "1", "2"), ("b", "2", "3"), ("c", "3", "4")]), [])
+    labels = set()
+    for alg in (glued, product_algebra, mutated_algebra, a4):
+        roster = enumerate_roster(alg)
+        tilt, not_tilt = _apr_tilt(alg), direct_sum(alg, roster.modules[:3])
+        assert is_tilting(tilt).tilting and not is_tilting(not_tilt).tilting
+        mods = roster.modules + [zero_rep(alg),
+                                 direct_sum(alg, [roster.modules[0], roster.modules[-1]])]
+        for t in (regular_module(alg), tilt, not_tilt):
+            for m in mods:
+                want = ("torsion" if gen_member(t, m) else
+                        "free" if perp_member(t, m) else "neither")
+                assert tilting_module._classify(t, m) == want, (m.dim_vector(), want)
+                labels.add(want)
+    assert labels == {"torsion", "free", "neither"}
 
 
 def test_tilting_torsion_pair_detection(inner, outer):
