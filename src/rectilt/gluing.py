@@ -203,7 +203,8 @@ def _restrict(ctx: RecollementContext, t: Representation, roster: Roster | None,
     induces on its own algebra's roster, with no module outside both.
     """
     left = side == "left"
-    restrict, restrict_free = (i_upper_star, i_shriek) if left else (j_star_upper, j_star_upper)
+    restrict = i_upper_star if left else j_star_upper
+    restrict_free = i_shriek if left else j_star_upper
     summands = summand_classes([restrict(ctx, t)])
     module = direct_sum(ctx.inner_algebra if left else ctx.outer_algebra, summands)
     if left:

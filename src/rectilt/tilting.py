@@ -184,28 +184,29 @@ def _left_approximation(v, classes, radical_spans) -> Morphism:
 # -- trace and membership ----------------------------------------------------
 
 
-def _images(basis, m: Representation) -> tuple[Representation, Morphism]:
-    """The submodule of m spanned by the images of the maps in ``basis``."""
-    return subrep_from_subspaces(m, {v: Mat.hstack([f.components[v] for f in basis],
-                                                  rows=m.dims[v])
-                                     for v in m.algebra.vertices})
+def _image_spans(basis, m: Representation) -> dict:
+    """Per vertex of m, the images of the maps in ``basis`` as the columns of one matrix."""
+    return {v: Mat.hstack([f.components[v] for f in basis], rows=m.dims[v])
+            for v in m.algebra.vertices}
 
 
 def trace(t: Representation, m: Representation) -> tuple[Representation, Morphism]:
     """The trace of t in m: sum of images of all morphisms t -> m."""
-    return _images(hom_basis(t, m), m)
+    return subrep_from_subspaces(m, _image_spans(hom_basis(t, m), m))
 
 
 def _classify(t: Representation, m: Representation) -> str:
     """Where m lies: Gen t ("torsion"), t-perp ("free") or "neither", from one Hom basis.
 
-    The trace is the span of the basis's images.  An empty basis makes m
-    free unless m = 0, which lies in both classes and is called torsion.
+    The trace is the span of the basis's images, so m is torsion when
+    that span has full rank at every vertex.  An empty basis makes m free
+    unless m = 0, which lies in both classes and is called torsion.
     """
     basis = hom_basis(t, m)
     if not basis:
         return "torsion" if m.is_zero() else "free"
-    return "torsion" if _images(basis, m)[0].dims == m.dims else "neither"
+    spans = _image_spans(basis, m)
+    return "torsion" if all(rank(spans[v]) == m.dims[v] for v in spans) else "neither"
 
 
 def gen_member(t: Representation, m: Representation) -> bool:
