@@ -210,7 +210,7 @@ def _classify(t: Representation, m: Representation) -> str:
 
 
 def gen_member(t: Representation, m: Representation) -> bool:
-    return trace(t, m)[0].dims == m.dims
+    return _classify(t, m) == "torsion"
 
 
 def perp_member(t: Representation, m: Representation) -> bool:
