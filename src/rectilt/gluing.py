@@ -4,13 +4,22 @@ The forward direction builds one universal extension of the lifted inner
 tilting module by copies of the tensor-lifted outer one, and certifies
 every conclusion: pd <= 1, self-orthogonality, the coresolution, the
 partition identity between the glued membership predicates and the trace
-partition of the result, and the Ext-projectivity identity.
+partition of the result, and the Ext-projectivity identity.  The summand
+classes of the glued module are assembled, not rediscovered: j_! is
+additive and fully faithful (j^* j_! = id), so it sends the summand
+classes of the outer tilting module to pairwise non-isomorphic
+indecomposables, and only the middle term of the universal extension is
+decomposed.  The tilting certificate and the Ext-projectivity check use
+that class list.
 
 The backward direction restricts a tilting module to one part, in one
 routine for both sides.  It partitions T's roster once, sends the torsion
 and free classes through the side's restriction functors, always
 certifies tilting-ness of the outer restriction, and reports which
 closure hypotheses (and hence which partition equalities) survive.
+
+A whole-algebra roster that is not passed in, and the roster of each
+part, are enumerated once per algebra object (``_roster``).
 """
 
 from __future__ import annotations
@@ -22,9 +31,12 @@ from .homology import Roster, enumerate_roster, ext1, ext1_dim, universal_extens
 from .rep import (
     Representation,
     SES,
-    add_equal,
+    _in_add,
+    _same_classes,
+    _unit_rank,
+    basic_summands,
+    decompose,
     direct_sum,
-    in_add_of,
     injective,
     summand_classes,
 )
@@ -40,12 +52,21 @@ from .recollement import (
 )
 from .tilting import (
     TiltingCertificate,
-    ext_projectives,
+    _certify_tilting,
+    _ext_projective_classes,
     gen_member,
     is_tilting,
     partition_roster,
     perp_member,
 )
+
+
+def _roster(alg) -> Roster:
+    """``enumerate_roster(alg)``, held on the algebra object and freed with it."""
+    cache = alg.__dict__
+    if "_roster" not in cache:
+        cache["_roster"] = enumerate_roster(alg)
+    return cache["_roster"]
 
 
 @dataclass
@@ -138,19 +159,19 @@ def glue_tilting(spec: GluedPairSpec, roster: Roster | None = None) -> GlueCerti
     middle = ses.middle
     universal_ok = ext1_dim(middle, lifted_outer) == 0
 
-    summands = summand_classes([lifted_outer, middle])
+    summands = basic_summands([j_shriek(ctx, x) for x in outer_cert.classes]
+                              + [p for p, _ in decompose(middle)])
     glued = direct_sum(ctx.algebra, summands)
 
-    tilt_cert = is_tilting(glued)
+    tilt_cert = _certify_tilting(glued, summands)
     if roster is None:
-        roster = enumerate_roster(ctx.algebra)
+        roster = _roster(ctx.algebra)
     part = partition_roster(glued, roster)
     got = {**dict.fromkeys(part.torsion, "torsion"), **dict.fromkeys(part.free, "free"),
            **dict.fromkeys(part.neither, "neither")}
     matches = all(glued_membership(spec, m) == got[i] for i, m in enumerate(roster.modules))
     torsion_mods = [roster.modules[i] for i in part.torsion]
-    projs = ext_projectives(torsion_mods)
-    projs_match = add_equal([projs], [glued])
+    projs_match = _same_classes(_ext_projective_classes(torsion_mods), summands)
 
     return GlueCertificate(
         module=glued,
@@ -213,9 +234,9 @@ def _restrict(ctx: RecollementContext, t: Representation, roster: Roster | None,
                "tor1_on_simples": exact.i_upper_star_tor}
         if not exact.i_upper_star_exact:
             return RestrictionResult(side, module, summands, None, False, hyp, None)
-    cert = is_tilting(module)
+    cert = _certify_tilting(module, summands)
     if roster is None:
-        roster = enumerate_roster(ctx.algebra)
+        roster = _roster(ctx.algebra)
     part = partition_roster(t, roster)
     torsion = [roster.modules[i] for i in part.torsion]
     free = [roster.modules[i] for i in part.free]
@@ -224,20 +245,21 @@ def _restrict(ctx: RecollementContext, t: Representation, roster: Roster | None,
                "free_closed": True, "free_witness": None,
                "j_star_lower_exact": True}
         for name, cls in (("free", free), ("torsion", torsion)):
+            units = [_unit_rank(x) for x in cls]
             for m in cls:
                 back = j_star_lower(ctx, j_star_upper(ctx, m))
-                if not in_add_of(back, cls):
+                if not _in_add(back, cls, units):
                     hyp[f"{name}_closed"] = False
                     hyp[f"{name}_witness"] = back.to_json()["dims"]
                     break
         hyp["holds"] = hyp["torsion_closed"] and hyp["free_closed"]
     tclass = summand_classes([restrict(ctx, m) for m in torsion])
     fclass = summand_classes([restrict_free(ctx, m) for m in free])
-    own = enumerate_roster(module.algebra)
+    own = _roster(module.algebra)
     induced = partition_roster(module, own)
     equal = (not induced.neither
-             and add_equal(tclass, [own.modules[i] for i in induced.torsion])
-             and add_equal(fclass, [own.modules[i] for i in induced.free]))
+             and _same_classes(tclass, [own.modules[i] for i in induced.torsion])
+             and _same_classes(fclass, [own.modules[i] for i in induced.free]))
     return RestrictionResult(side, module, summands, cert, True, hyp, equal,
                              (tclass, fclass))
 

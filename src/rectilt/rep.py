@@ -871,12 +871,22 @@ def in_add_of(m: Representation, classes) -> bool:
 
 
 def _in_add(m: Representation, classes, units) -> bool:
-    """``in_add_of`` given each class's rank P(x, x) in ``units``."""
+    """``in_add_of`` given each class's rank P(x, x) in ``units``.
+
+    A class t that does not fit in m (t.dims > m.dims at some vertex) is
+    no summand of m and is skipped unpaired, so ``_multiplicity``'s
+    divisibility check runs only on the classes that fit.
+    """
     return sum(_multiplicity(t, m, u) * t.total_dim
-               for t, u in zip(classes, units)) == m.total_dim
+               for t, u in zip(classes, units)
+               if all(t.dims[v] <= d for v, d in m.dims.items())) == m.total_dim
 
 
 def add_equal(ms, ns) -> bool:
     """add(ms) == add(ns) as sets of indecomposable summand classes."""
-    a, b = summand_classes(ms), summand_classes(ns)
+    return _same_classes(summand_classes(ms), summand_classes(ns))
+
+
+def _same_classes(a, b) -> bool:
+    """Whether two class lists (pairwise non-isomorphic indecomposables) name the same classes."""
     return len(a) == len(b) and all(any(same_class(x, y) for y in b) for x in a)

@@ -58,6 +58,7 @@ class TiltingCertificate:
     t3_sequence_dims: tuple | None = None
     indecomposable_count: int | None = None
     simple_count: int | None = None
+    classes: list | None = field(default=None, compare=False)  # one per summand class
 
     @property
     def t1(self) -> bool:
@@ -105,11 +106,21 @@ def is_tilting(t: Representation) -> TiltingCertificate:
     ``t3_sequence_dims`` records the minimal coresolution 0 -> A -> T0 ->
     T1 -> 0 (for T = A it is (dim A, dim A, 0)).  The summand-count
     criterion (#classes = #simples) is checked to agree whenever the
-    module is partial tilting.
+    module is partial tilting.  ``classes`` on the certificate holds one
+    indecomposable per summand class of T, as ``decompose`` found them.
+    """
+    return _certify_tilting(t, [rep for rep, _ in decompose(t)])
+
+
+def _certify_tilting(t: Representation, classes) -> TiltingCertificate:
+    """``is_tilting`` given the summand classes of t.
+
+    The caller guarantees that ``classes`` holds exactly one indecomposable
+    per isomorphism class of direct summands of t; nothing here checks it.
     """
     cert = is_partial_tilting(t)
     alg = t.algebra
-    classes = [rep for rep, _ in decompose(t)]
+    cert.classes = classes
     cert.indecomposable_count = len(classes)
     cert.simple_count = len(alg.vertices)
     if t.is_zero():
@@ -311,13 +322,14 @@ def is_torsion_pair(tclass, fclass, roster: Roster) -> TorsionPairVerdict:
 
 def ext_projectives(classes) -> Representation:
     """Direct sum of the Ext-projective members of a class list."""
-    picked = []
-    for m in classes:
-        if m.is_zero():
-            continue
-        if all(ext1_dim(m, x) == 0 for x in classes):
-            picked.append(m)
+    picked = _ext_projective_classes(classes)
+    return direct_sum(picked[0].algebra, picked)
+
+
+def _ext_projective_classes(classes) -> list[Representation]:
+    """The Ext-projective members of a class list, one per class (``basic_summands``)."""
+    picked = [m for m in classes
+              if not m.is_zero() and all(ext1_dim(m, x) == 0 for x in classes)]
     if not picked:
         raise ValueError("class list has no Ext-projective members")
-    alg = picked[0].algebra
-    return direct_sum(alg, basic_summands(picked))
+    return basic_summands(picked)

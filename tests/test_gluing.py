@@ -1,7 +1,11 @@
 """Gluing and restriction on the four worked cases of the source example."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rectilt import gluing, rep, tilting
+from rectilt.algebra import Quiver, Relation, build_algebra
 from rectilt.errors import HypothesisFailed
 from rectilt.gluing import (
     GluedPairSpec,
@@ -12,9 +16,22 @@ from rectilt.gluing import (
     restrict_right,
 )
 from rectilt.homology import enumerate_roster
-from rectilt.recollement import i_upper_star, split_context
-from rectilt.rep import add_equal, direct_sum, projective, simple
-from rectilt.tilting import partition_roster
+from rectilt.recollement import i_upper_star, j_shriek, split_context
+from rectilt.rep import (
+    _in_add,
+    _same_classes,
+    _unit_rank,
+    add_equal,
+    decompose,
+    direct_sum,
+    injective,
+    multiplicity,
+    projective,
+    regular_module,
+    simple,
+    summand_classes,
+)
+from rectilt.tilting import ext_projectives, is_tilting, partition_roster
 
 
 @pytest.fixture(scope="module")
@@ -230,3 +247,121 @@ def test_check_restriction_hypotheses_trivial_for_regular(ctx, roster, glued):
     from rectilt.rep import regular_module
     report = restrict_right(ctx, regular_module(glued), roster).hypotheses
     assert report["holds"]
+
+
+# -- known summand classes: what gluing and restriction no longer recompute ----------
+
+
+def _counting(monkeypatch, module, name):
+    """Route ``module.name`` through a wrapper that records its first argument."""
+    seen = []
+    real = getattr(module, name)
+
+    def wrapper(first, *args, **kwargs):
+        seen.append(first)
+        return real(first, *args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return seen
+
+
+def test_glue_decomposes_only_its_inputs_and_the_middle_term(ctx, roster, monkeypatch):
+    seen = _counting(monkeypatch, rep, "decompose")
+    for module in (tilting, gluing):
+        monkeypatch.setattr(module, "decompose", rep.decompose)
+    spec = GluedPairSpec(ctx, t_inner(ctx), t_outer_case1(ctx))
+    cert = glue_tilting(spec, roster)
+    want = [spec.inner_tilting, spec.outer_tilting, cert.universal.middle]
+    assert len(seen) == 3
+    assert all(got is m for got, m in zip(seen, want))
+
+
+def test_restrict_right_enumerates_each_roster_once(glued, roster, monkeypatch):
+    fresh = split_context(glued, ["3", "4", "5"])
+    t = t_case4(roster, glued)
+    seen = _counting(monkeypatch, gluing, "enumerate_roster")
+    first = restrict_right(fresh, t, roster)
+    assert len(seen) == 1 and seen[0] is fresh.outer_algebra
+    second = restrict_right(fresh, t, roster)
+    assert len(seen) == 1
+    assert second.to_json() == first.to_json()
+
+
+@pytest.mark.parametrize("case", ["case1", "case2", "product"])
+def test_glue_classes_agree_with_decomposing_the_lift(case, ctx, roster, product_algebra):
+    if case == "product":
+        ctx = split_context(product_algebra, ["3", "4", "5"])
+        roster = enumerate_roster(product_algebra)
+        out = ctx.outer_algebra
+        spec = GluedPairSpec(ctx, t_inner(ctx),
+                             direct_sum(out, [projective(out, v) for v in out.vertices]))
+    else:
+        outer = t_outer_case1(ctx) if case == "case1" else t_outer_case2(ctx)
+        spec = GluedPairSpec(ctx, t_inner(ctx), outer)
+    cert = glue_tilting(spec, roster)
+    lifted = [j_shriek(ctx, x) for x in is_tilting(spec.outer_tilting).classes]
+    # j_! is fully faithful: each lifted class stays indecomposable
+    assert all([k for _, k in decompose(x)] == [1] for x in lifted)
+    assert _same_classes(lifted, summand_classes([j_shriek(ctx, spec.outer_tilting)]))
+    # the reference: decompose j_!T'' and the middle term from scratch
+    assert _same_classes(cert.summands, summand_classes(
+        [j_shriek(ctx, spec.outer_tilting), cert.universal.middle]))
+    assert cert.tilting.to_json() == is_tilting(cert.module).to_json()
+    torsion = [roster.modules[i] for i in partition_roster(cert.module, roster).torsion]
+    assert cert.ext_projectives_match == add_equal([ext_projectives(torsion)], [cert.module])
+    assert cert.passed
+
+
+# -- the fit filter of _in_add against the unfiltered multiplicity sum ----------------
+
+
+def commutative_ladder(n: int):
+    """CL_n = A_2 (x) A_n: rows t1..tn over b1..bn, a_k v_{k+1} = v_k c_k per square."""
+    top = [f"t{k}" for k in range(1, n + 1)]
+    bottom = [f"b{k}" for k in range(1, n + 1)]
+    arrows = ([(f"a{k}", f"t{k}", f"t{k + 1}") for k in range(1, n)]
+              + [(f"c{k}", f"b{k}", f"b{k + 1}") for k in range(1, n)]
+              + [(f"v{k}", f"t{k}", f"b{k}") for k in range(1, n + 1)])
+    relations = [Relation([(1, (f"a{k}", f"v{k + 1}")), (-1, (f"v{k}", f"c{k}"))])
+                 for k in range(1, n)]
+    return build_algebra(Quiver(top + bottom, arrows), relations, 10), top
+
+
+@pytest.fixture(scope="module")
+def add_cases(glued, roster):
+    """(roster, class lists with their unit ranks) on CL_3 and on the worked algebra.
+
+    The class lists are the torsion and free classes of the regular module
+    and of one tilting module, a glued one on CL_3 and case (4)'s here.
+    """
+    ladder, top = commutative_ladder(3)
+    ladder_roster = enumerate_roster(ladder)
+    assert len(ladder_roster.modules) == 29
+    lctx = split_context(ladder, top)
+    inn, out = lctx.inner_algebra, lctx.outer_algebra
+    glued_ladder = glue_tilting(GluedPairSpec(
+        lctx, regular_module(inn),
+        direct_sum(out, [injective(out, v) for v in out.vertices])), ladder_roster)
+    assert glued_ladder.passed
+    cases = []
+    for r, t in ((ladder_roster, glued_ladder.module), (roster, t_case4(roster, glued))):
+        lists = []
+        for module in (regular_module(r.algebra), t):
+            part = partition_roster(module, r)
+            for picked in (part.torsion, part.free):
+                cls = [r.modules[i] for i in picked]
+                lists.append((cls, [_unit_rank(x) for x in cls]))
+        cases.append((r, lists))
+    return cases
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_in_add_fit_filter_agrees_with_unfiltered_sum(add_cases, data):
+    r, lists = data.draw(st.sampled_from(add_cases))
+    cls, units = data.draw(st.sampled_from(lists))
+    picks = data.draw(st.lists(st.integers(0, len(r.modules) - 1), min_size=1, max_size=4))
+    m = direct_sum(r.algebra, [r.modules[i] for i in picks])
+    want = sum(multiplicity(t, m) * t.total_dim for t in cls) == m.total_dim
+    assert _in_add(m, cls, units) == want
+    assert want == all(any(r.modules[i] is x for x in cls) for i in picks)
