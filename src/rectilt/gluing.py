@@ -18,8 +18,18 @@ and free classes through the side's restriction functors, always
 certifies tilting-ness of the outer restriction, and reports which
 closure hypotheses (and hence which partition equalities) survive.
 
-A whole-algebra roster that is not passed in, and the roster of each
-part, are enumerated once per algebra object (``_roster``).
+What does not depend on the tilting module is computed once and kept on
+the object it belongs to:
+
+- a whole-algebra roster that is not passed in, and the roster of each
+  part, once per algebra object (``_roster``);
+- Ext^1 between two entries of a roster, on the roster
+  (``Roster.ext1_vanishes``), read by the Ext-projectivity check;
+- i^*X, j^*X and i^!X of each roster entry X, and the summand classes of
+  these images, on the recollement context, per roster (``_images``),
+  read by the partition check and by the restricted classes.
+
+Only the Gen/perp membership against T is tested on every verdict.
 """
 
 from __future__ import annotations
@@ -42,6 +52,7 @@ from .rep import (
 )
 from .recollement import (
     RecollementContext,
+    apply_functor,
     check_exactness,
     i_shriek,
     i_star,
@@ -69,6 +80,34 @@ def _roster(alg) -> Roster:
     return cache["_roster"]
 
 
+def _images(ctx: RecollementContext, roster: Roster, name: str) -> tuple[list, dict]:
+    """(images, classes) of the roster's entries under ctx's functor ``name``: "i*", "j*" or "i!".
+
+    The images depend on the split and the roster only, so they are built
+    once and held on ctx, keyed by the roster's id; the roster is held
+    with them, so that the id cannot come back as another roster's.
+    ``classes`` maps an entry's index to one indecomposable per summand
+    class of its image, filled on first use (``_image_classes``).
+    """
+    held = ctx.__dict__.setdefault("_roster_images", {})
+    if id(roster) not in held:
+        held[id(roster)] = (roster, {})
+    by_name = held[id(roster)][1]
+    if name not in by_name:
+        by_name[name] = ([apply_functor(ctx, name, m) for m in roster.modules], {})
+    return by_name[name]
+
+
+def _image_classes(ctx: RecollementContext, roster: Roster, name: str,
+                   indices) -> list[Representation]:
+    """``summand_classes`` of the ``name`` images of the roster entries at ``indices``."""
+    images, classes = _images(ctx, roster, name)
+    for i in indices:
+        if i not in classes:
+            classes[i] = [p for p, _ in decompose(images[i])]
+    return basic_summands([p for i in indices for p in classes[i]])
+
+
 @dataclass
 class GluedPairSpec:
     ctx: RecollementContext
@@ -82,12 +121,15 @@ def glued_membership(spec: GluedPairSpec, m: Representation) -> str:
     The zero module belongs to every class and is reported torsion.
     """
     ctx = spec.ctx
-    torsion = gen_member(spec.inner_tilting, i_upper_star(ctx, m)) \
-        and gen_member(spec.outer_tilting, j_star_upper(ctx, m))
-    if torsion:
+    return _glued_class(spec, i_upper_star(ctx, m), j_star_upper(ctx, m), i_shriek(ctx, m))
+
+
+def _glued_class(spec: GluedPairSpec, top: Representation, outer: Representation,
+                 sub: Representation) -> str:
+    """``glued_membership`` of a module M given i^*M, j^*M and i^!M."""
+    if gen_member(spec.inner_tilting, top) and gen_member(spec.outer_tilting, outer):
         return "torsion"
-    free = perp_member(spec.inner_tilting, i_shriek(ctx, m)) \
-        and perp_member(spec.outer_tilting, j_star_upper(ctx, m))
+    free = perp_member(spec.inner_tilting, sub) and perp_member(spec.outer_tilting, outer)
     return "free" if free else "neither"
 
 
@@ -109,6 +151,8 @@ class GlueCertificate:
     partition_counts: tuple
     partition_matches_glued: bool
     ext_projectives_match: bool
+    # the first roster module classified differently, when the partition check fails
+    partition_witness: dict | None = None
 
     @property
     def passed(self) -> bool:
@@ -116,7 +160,7 @@ class GlueCertificate:
                 and self.partition_matches_glued and self.ext_projectives_match)
 
     def to_json(self):
-        return {
+        out = {
             "summands": [s.to_json()["dims"] for s in self.summands],
             "summand_count": len(self.summands),
             "ext_dimension": self.ext_dimension,
@@ -127,6 +171,9 @@ class GlueCertificate:
             "ext_projectives_match": self.ext_projectives_match,
             "passed": self.passed,
         }
+        if not self.partition_matches_glued:
+            out["partition_witness"] = self.partition_witness
+        return out
 
 
 def glue_tilting(spec: GluedPairSpec, roster: Roster | None = None) -> GlueCertificate:
@@ -169,9 +216,17 @@ def glue_tilting(spec: GluedPairSpec, roster: Roster | None = None) -> GlueCerti
     part = partition_roster(glued, roster)
     got = {**dict.fromkeys(part.torsion, "torsion"), **dict.fromkeys(part.free, "free"),
            **dict.fromkeys(part.neither, "neither")}
-    matches = all(glued_membership(spec, m) == got[i] for i, m in enumerate(roster.modules))
-    torsion_mods = [roster.modules[i] for i in part.torsion]
-    projs_match = _same_classes(_ext_projective_classes(torsion_mods), summands)
+    witness = None
+    top, outer, sub = (_images(ctx, roster, name)[0] for name in ("i*", "j*", "i!"))
+    for i, m in enumerate(roster.modules):
+        glued_as = _glued_class(spec, top[i], outer[i], sub[i])
+        if glued_as != got[i]:
+            witness = {"module_dims": m.to_json()["dims"], "glued": glued_as, "trace": got[i]}
+            break
+    torsion = part.torsion
+    projs = _ext_projective_classes([roster.modules[i] for i in torsion],
+                                    lambda a, b: roster.ext1_vanishes(torsion[a], torsion[b]))
+    projs_match = _same_classes(projs, summands)
 
     return GlueCertificate(
         module=glued,
@@ -181,8 +236,9 @@ def glue_tilting(spec: GluedPairSpec, roster: Roster | None = None) -> GlueCerti
         universal_ext_vanishes=universal_ok,
         tilting=tilt_cert,
         partition_counts=part.counts(),
-        partition_matches_glued=matches,
+        partition_matches_glued=witness is None,
         ext_projectives_match=projs_match,
+        partition_witness=witness,
     )
 
 
@@ -224,9 +280,7 @@ def _restrict(ctx: RecollementContext, t: Representation, roster: Roster | None,
     induces on its own algebra's roster, with no module outside both.
     """
     left = side == "left"
-    restrict = i_upper_star if left else j_star_upper
-    restrict_free = i_shriek if left else j_star_upper
-    summands = summand_classes([restrict(ctx, t)])
+    summands = summand_classes([(i_upper_star if left else j_star_upper)(ctx, t)])
     module = direct_sum(ctx.inner_algebra if left else ctx.outer_algebra, summands)
     if left:
         exact = check_exactness(ctx)
@@ -253,8 +307,8 @@ def _restrict(ctx: RecollementContext, t: Representation, roster: Roster | None,
                     hyp[f"{name}_witness"] = back.to_json()["dims"]
                     break
         hyp["holds"] = hyp["torsion_closed"] and hyp["free_closed"]
-    tclass = summand_classes([restrict(ctx, m) for m in torsion])
-    fclass = summand_classes([restrict_free(ctx, m) for m in free])
+    tclass = _image_classes(ctx, roster, "i*" if left else "j*", part.torsion)
+    fclass = _image_classes(ctx, roster, "i!" if left else "j*", part.free)
     own = _roster(module.algebra)
     induced = partition_roster(module, own)
     equal = (not induced.neither

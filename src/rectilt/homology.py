@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import weakref
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
 
@@ -465,12 +465,25 @@ class RosterEntry:
 
 @dataclass
 class Roster:
+    """The indecomposables of an algebra, with what depends on nothing else.
+
+    ``ext1_vanishes`` fills a table of Ext^1 between entries on first use:
+    one ``ext1_dim`` per ordered pair for the life of the roster, however
+    many tilting modules are checked against it.
+    """
     algebra: BoundQuiverAlgebra
     entries: list[RosterEntry]
+    _ext1: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def modules(self) -> list[Representation]:
         return [e.module for e in self.entries]
+
+    def ext1_vanishes(self, i: int, j: int) -> bool:
+        """Whether Ext^1(X_i, X_j) = 0 for the entries X_i and X_j."""
+        if (i, j) not in self._ext1:
+            self._ext1[i, j] = ext1_dim(self.entries[i].module, self.entries[j].module) == 0
+        return self._ext1[i, j]
 
     def find(self, m: Representation) -> int | None:
         """Index of the entry isomorphic to m, or None; m may be any module."""

@@ -326,10 +326,19 @@ def ext_projectives(classes) -> Representation:
     return direct_sum(picked[0].algebra, picked)
 
 
-def _ext_projective_classes(classes) -> list[Representation]:
-    """The Ext-projective members of a class list, one per class (``basic_summands``)."""
-    picked = [m for m in classes
-              if not m.is_zero() and all(ext1_dim(m, x) == 0 for x in classes)]
+def _ext_projective_classes(classes, ext1_zero=None) -> list[Representation]:
+    """The Ext-projective members of a class list, one per class (``basic_summands``).
+
+    ``ext1_zero(i, j)`` says whether Ext^1(classes[i], classes[j]) = 0.  It
+    is computed when not given; a list of roster entries is given its
+    roster's table (``Roster.ext1_vanishes``).
+    """
+    if ext1_zero is None:
+        def ext1_zero(i, j):
+            return ext1_dim(classes[i], classes[j]) == 0
+    indices = range(len(classes))
+    picked = [m for i, m in enumerate(classes)
+              if not m.is_zero() and all(ext1_zero(i, j) for j in indices)]
     if not picked:
         raise ValueError("class list has no Ext-projective members")
     return basic_summands(picked)

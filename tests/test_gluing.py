@@ -1,10 +1,13 @@
 """Gluing and restriction on the four worked cases of the source example."""
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rectilt import gluing, rep, tilting
+from rectilt import gluing, homology, recollement, rep, tilting
 from rectilt.algebra import Quiver, Relation, build_algebra
 from rectilt.errors import HypothesisFailed
 from rectilt.gluing import (
@@ -30,8 +33,14 @@ from rectilt.rep import (
     regular_module,
     simple,
     summand_classes,
+    zero_rep,
 )
-from rectilt.tilting import ext_projectives, is_tilting, partition_roster
+from rectilt.tilting import (
+    _ext_projective_classes,
+    ext_projectives,
+    is_tilting,
+    partition_roster,
+)
 
 
 @pytest.fixture(scope="module")
@@ -287,17 +296,22 @@ def test_restrict_right_enumerates_each_roster_once(glued, roster, monkeypatch):
     assert second.to_json() == first.to_json()
 
 
-@pytest.mark.parametrize("case", ["case1", "case2", "product"])
-def test_glue_classes_agree_with_decomposing_the_lift(case, ctx, roster, product_algebra):
+def glue_case(case, ctx, roster, product_algebra):
+    """(spec, roster) of glue case (1), case (2) or the product split."""
     if case == "product":
         ctx = split_context(product_algebra, ["3", "4", "5"])
-        roster = enumerate_roster(product_algebra)
         out = ctx.outer_algebra
-        spec = GluedPairSpec(ctx, t_inner(ctx),
-                             direct_sum(out, [projective(out, v) for v in out.vertices]))
-    else:
-        outer = t_outer_case1(ctx) if case == "case1" else t_outer_case2(ctx)
-        spec = GluedPairSpec(ctx, t_inner(ctx), outer)
+        return (GluedPairSpec(ctx, t_inner(ctx),
+                              direct_sum(out, [projective(out, v) for v in out.vertices])),
+                enumerate_roster(product_algebra))
+    outer = t_outer_case1(ctx) if case == "case1" else t_outer_case2(ctx)
+    return GluedPairSpec(ctx, t_inner(ctx), outer), roster
+
+
+@pytest.mark.parametrize("case", ["case1", "case2", "product"])
+def test_glue_classes_agree_with_decomposing_the_lift(case, ctx, roster, product_algebra):
+    spec, roster = glue_case(case, ctx, roster, product_algebra)
+    ctx = spec.ctx
     cert = glue_tilting(spec, roster)
     lifted = [j_shriek(ctx, x) for x in is_tilting(spec.outer_tilting).classes]
     # j_! is fully faithful: each lifted class stays indecomposable
@@ -310,6 +324,104 @@ def test_glue_classes_agree_with_decomposing_the_lift(case, ctx, roster, product
     torsion = [roster.modules[i] for i in partition_roster(cert.module, roster).torsion]
     assert cert.ext_projectives_match == add_equal([ext_projectives(torsion)], [cert.module])
     assert cert.passed
+
+
+# -- roster data computed once: the Ext^1 table and the functor images ----------------
+
+
+def test_partition_mismatch_names_its_witness(glued, roster, monkeypatch):
+    ctx = split_context(glued, ["3", "4", "5"])
+    spec = GluedPairSpec(ctx, t_inner(ctx), t_outer_case1(ctx))
+    assert "partition_witness" not in glue_tilting(spec, roster).to_json()
+    # Gen T' and Gen T'' look empty, so no roster module is glued torsion
+    monkeypatch.setattr(gluing, "gen_member", lambda t, m: False)
+    cert = glue_tilting(spec, roster)
+    assert not cert.partition_matches_glued and not cert.passed
+    trace = {i: "torsion" for i in partition_roster(cert.module, roster).torsion}
+    first = next(m for i, m in enumerate(roster.modules)
+                 if glued_membership(spec, m) != trace.get(i, "free"))
+    witness = cert.to_json()["partition_witness"]
+    assert witness == {"module_dims": first.to_json()["dims"],
+                       "glued": glued_membership(spec, first), "trace": "torsion"}
+
+
+@pytest.mark.parametrize("case", ["case1", "case2", "product"])
+def test_table_ext_projectives_equal_fresh_ones(case, ctx, roster, product_algebra):
+    spec, roster = glue_case(case, ctx, roster, product_algebra)
+    cert = glue_tilting(spec, roster)
+    picked = partition_roster(cert.module, roster).torsion
+    torsion = [roster.modules[i] for i in picked]
+    table = _ext_projective_classes(
+        torsion, lambda a, b: roster.ext1_vanishes(picked[a], picked[b]))
+    fresh = _ext_projective_classes(torsion)
+    assert [x.to_json() for x in table] == [x.to_json() for x in fresh]
+    assert cert.ext_projectives_match and _same_classes(table, cert.summands)
+    zeros = [zero_rep(roster.algebra)] * 2
+    for ext1_zero in (None, lambda a, b: True):
+        with pytest.raises(ValueError, match="no Ext-projective members"):
+            _ext_projective_classes(zeros, ext1_zero)
+
+
+def _outcomes(glued, outer, roster, ts):
+    """Glue and restriction JSON of one split, roster passed in; a failed glue gives its culprit."""
+    ctx = split_context(glued, outer)
+    spec = GluedPairSpec(ctx, regular_module(ctx.inner_algebra),
+                         regular_module(ctx.outer_algebra))
+    try:
+        out = [glue_tilting(spec, roster).to_json()]
+    except HypothesisFailed as err:
+        out = [err.culprit]
+    for t in ts:
+        for res in (restrict_right(ctx, t, roster), restrict_left(ctx, t, roster)):
+            classes = res.restricted_classes or ()
+            out.append((res.to_json(), [[x.to_json() for x in c] for c in classes]))
+    return out
+
+
+def test_one_roster_shared_by_two_splits(glued, roster):
+    # both splits are triangular; {5} is not, since beta runs 4 -> 5
+    splits = (["3", "4", "5"], ["3", "4"])
+    ts = [regular_module(glued), t_case3(roster, glued), t_case4(roster, glued)]
+    fresh = {tuple(o): _outcomes(glued, o, enumerate_roster(glued), ts) for o in splits}
+    for order in (splits, splits[::-1]):
+        shared = enumerate_roster(glued)
+        for outer in order:
+            assert _outcomes(glued, outer, shared, ts) == fresh[tuple(outer)]
+
+
+def test_cached_images_die_with_context_and_roster(glued):
+    ctx = split_context(glued, ["3", "4", "5"])
+    shared = enumerate_roster(glued)
+    glue_tilting(GluedPairSpec(ctx, t_inner(ctx), t_outer_case1(ctx)), shared)
+    refs = [weakref.ref(image) for image in gluing._images(ctx, shared, "i*")[0]]
+    assert len(refs) == len(shared.modules)
+    del ctx, shared
+    gc.collect()
+    assert all(r() is None for r in refs)
+
+
+def test_second_glue_recomputes_no_roster_data(glued, monkeypatch):
+    ctx = split_context(glued, ["3", "4", "5"])
+    shared = enumerate_roster(glued)
+    entries = {id(m) for m in shared.modules}
+    on_roster = []
+    # ext1_dim(X, Y) with X and Y roster entries, i_upper_star(ctx, X) with X one
+    for module, name, picked in ((homology, "ext1_dim", slice(0, 2)),
+                                 (tilting, "ext1_dim", slice(0, 2)),
+                                 (gluing, "ext1_dim", slice(0, 2)),
+                                 (recollement, "i_upper_star", slice(1, 2)),
+                                 (gluing, "i_upper_star", slice(1, 2))):
+        def wrapper(*args, _real=getattr(module, name), _name=name, _picked=picked):
+            if all(id(a) in entries for a in args[_picked]):
+                on_roster.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(module, name, wrapper)
+    spec = GluedPairSpec(ctx, t_inner(ctx), t_outer_case1(ctx))
+    first = glue_tilting(spec, shared)
+    assert {"ext1_dim", "i_upper_star"} <= set(on_roster)
+    on_roster.clear()
+    assert glue_tilting(spec, shared).to_json() == first.to_json()
+    assert on_roster == []
 
 
 # -- the fit filter of _in_add against the unfiltered multiplicity sum ----------------
