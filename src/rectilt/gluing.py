@@ -8,15 +8,19 @@ partition of the result, and the Ext-projectivity identity.  The summand
 classes of the glued module are assembled, not rediscovered: j_! is
 additive and fully faithful (j^* j_! = id), so it sends the summand
 classes of the outer tilting module to pairwise non-isomorphic
-indecomposables, and only the middle term of the universal extension is
-decomposed.  The tilting certificate and the Ext-projectivity check use
-that class list.
+indecomposables, and the classes of the middle term of the universal
+extension are read off the whole algebra's roster (``Roster.decompose``,
+one Hom rank per entry), with ``decompose`` run only when the roster does
+not account for the middle term.  The tilting certificate and the
+Ext-projectivity check use that class list.
 
 The backward direction restricts a tilting module to one part, in one
-routine for both sides.  It partitions T's roster once, sends the torsion
-and free classes through the side's restriction functors, always
-certifies tilting-ness of the outer restriction, and reports which
-closure hypotheses (and hence which partition equalities) survive.
+routine for both sides.  It classifies the restricted module against the
+part's roster in the same way, with ``decompose`` as the fallback,
+partitions T's roster once, sends the torsion and free classes through
+the side's restriction functors, always certifies tilting-ness of the
+outer restriction, and reports which closure hypotheses (and hence which
+partition equalities) survive.
 
 What does not depend on the tilting module is computed once and kept on
 the object it belongs to:
@@ -25,15 +29,20 @@ the object it belongs to:
   part, once per algebra object (``_roster``);
 - Ext^1 between two entries of a roster, on the roster
   (``Roster.ext1_vanishes``), read by the Ext-projectivity check;
+- rank P(X, X) of each roster entry X, on the roster
+  (``Roster.unit_rank``), read by ``Roster.decompose`` and by the
+  restriction's closure check;
 - i^*X, j^*X and i^!X of each roster entry X, and the summand classes of
   these images, on the recollement context, per roster (``_images``),
-  read by the partition check and by the restricted classes.
+  read by the partition check and by the restricted classes; the roster
+  itself is held by weak reference only.
 
 Only the Gen/perp membership against T is tested on every verdict.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 from .errors import HypothesisFailed
@@ -43,11 +52,11 @@ from .rep import (
     SES,
     _in_add,
     _same_classes,
-    _unit_rank,
     basic_summands,
     decompose,
     direct_sum,
     injective,
+    same_class,
     summand_classes,
 )
 from .recollement import (
@@ -84,18 +93,35 @@ def _images(ctx: RecollementContext, roster: Roster, name: str) -> tuple[list, d
     """(images, classes) of the roster's entries under ctx's functor ``name``: "i*", "j*" or "i!".
 
     The images depend on the split and the roster only, so they are built
-    once and held on ctx, keyed by the roster's id; the roster is held
-    with them, so that the id cannot come back as another roster's.
-    ``classes`` maps an entry's index to one indecomposable per summand
-    class of its image, filled on first use (``_image_classes``).
+    once and held on ctx, keyed by the roster's id.  The entry holds the
+    roster by a weak reference whose callback drops the entry, so the id
+    cannot come back as another roster's and a dead roster's images go
+    with it.  ``classes`` maps an entry's index to one indecomposable per
+    summand class of its image, filled on first use (``_image_classes``).
     """
     held = ctx.__dict__.setdefault("_roster_images", {})
-    if id(roster) not in held:
-        held[id(roster)] = (roster, {})
-    by_name = held[id(roster)][1]
+    key = id(roster)
+    if key not in held:
+        held[key] = (weakref.ref(roster, lambda _: held.pop(key, None)), {})
+    by_name = held[key][1]
     if name not in by_name:
         by_name[name] = ([apply_functor(ctx, name, m) for m in roster.modules], {})
     return by_name[name]
+
+
+def _pieces(roster: Roster, m: Representation) -> list[tuple[Representation, int]]:
+    """``decompose(m)``, read off the roster when the roster accounts for m."""
+    found = roster.decompose(m)
+    return decompose(m) if found is None else found
+
+
+def _missing_class(a, b) -> dict:
+    """The first class of a that b lacks, else of b that a lacks; a and b must differ."""
+    for have, lack, missing_from in ((a, b, "glued"), (b, a, "ext_projectives")):
+        for x in have:
+            if not any(same_class(x, y) for y in lack):
+                return {"class_dims": x.to_json()["dims"], "missing_from": missing_from}
+    raise ValueError("the class lists name the same classes")
 
 
 def _image_classes(ctx: RecollementContext, roster: Roster, name: str,
@@ -153,6 +179,8 @@ class GlueCertificate:
     ext_projectives_match: bool
     # the first roster module classified differently, when the partition check fails
     partition_witness: dict | None = None
+    # the first class among the Ext-projectives or the summands only, when they differ
+    ext_projectives_witness: dict | None = None
 
     @property
     def passed(self) -> bool:
@@ -173,6 +201,8 @@ class GlueCertificate:
         }
         if not self.partition_matches_glued:
             out["partition_witness"] = self.partition_witness
+        if not self.ext_projectives_match:
+            out["ext_projectives_witness"] = self.ext_projectives_witness
         return out
 
 
@@ -199,6 +229,8 @@ def glue_tilting(spec: GluedPairSpec, roster: Roster | None = None) -> GlueCerti
                                f"pd={outer_cert.pd}, ext1={outer_cert.ext1_self}, "
                                f"t3={outer_cert.t3_constructive}")
 
+    if roster is None:
+        roster = _roster(ctx.algebra)
     lifted_inner = i_star(ctx, spec.inner_tilting)
     lifted_outer = j_shriek(ctx, spec.outer_tilting)
     ext_space = ext1(lifted_inner, lifted_outer)
@@ -207,12 +239,10 @@ def glue_tilting(spec: GluedPairSpec, roster: Roster | None = None) -> GlueCerti
     universal_ok = ext1_dim(middle, lifted_outer) == 0
 
     summands = basic_summands([j_shriek(ctx, x) for x in outer_cert.classes]
-                              + [p for p, _ in decompose(middle)])
+                              + [p for p, _ in _pieces(roster, middle)])
     glued = direct_sum(ctx.algebra, summands)
 
     tilt_cert = _certify_tilting(glued, summands)
-    if roster is None:
-        roster = _roster(ctx.algebra)
     part = partition_roster(glued, roster)
     got = {**dict.fromkeys(part.torsion, "torsion"), **dict.fromkeys(part.free, "free"),
            **dict.fromkeys(part.neither, "neither")}
@@ -239,6 +269,7 @@ def glue_tilting(spec: GluedPairSpec, roster: Roster | None = None) -> GlueCerti
         partition_matches_glued=witness is None,
         ext_projectives_match=projs_match,
         partition_witness=witness,
+        ext_projectives_witness=None if projs_match else _missing_class(projs, summands),
     )
 
 
@@ -280,26 +311,31 @@ def _restrict(ctx: RecollementContext, t: Representation, roster: Roster | None,
     induces on its own algebra's roster, with no module outside both.
     """
     left = side == "left"
-    summands = summand_classes([(i_upper_star if left else j_star_upper)(ctx, t)])
-    module = direct_sum(ctx.inner_algebra if left else ctx.outer_algebra, summands)
+    image = (i_upper_star if left else j_star_upper)(ctx, t)
+    alg = ctx.inner_algebra if left else ctx.outer_algebra
     if left:
         exact = check_exactness(ctx)
         hyp = {"i_upper_star_exact": exact.i_upper_star_exact,
                "tor1_on_simples": exact.i_upper_star_tor}
         if not exact.i_upper_star_exact:
-            return RestrictionResult(side, module, summands, None, False, hyp, None)
+            # no roster of the part is built for a verdict that reads none
+            summands = summand_classes([image])
+            return RestrictionResult(side, direct_sum(alg, summands), summands,
+                                     None, False, hyp, None)
+    own = _roster(alg)
+    summands = [p for p, _ in _pieces(own, image)]
+    module = direct_sum(alg, summands)
     cert = _certify_tilting(module, summands)
     if roster is None:
         roster = _roster(ctx.algebra)
     part = partition_roster(t, roster)
-    torsion = [roster.modules[i] for i in part.torsion]
-    free = [roster.modules[i] for i in part.free]
     if not left:
         hyp = {"torsion_closed": True, "torsion_witness": None,
                "free_closed": True, "free_witness": None,
                "j_star_lower_exact": True}
-        for name, cls in (("free", free), ("torsion", torsion)):
-            units = [_unit_rank(x) for x in cls]
+        for name, picked in (("free", part.free), ("torsion", part.torsion)):
+            cls = [roster.modules[i] for i in picked]
+            units = [roster.unit_rank(i) for i in picked]
             for m in cls:
                 back = j_star_lower(ctx, j_star_upper(ctx, m))
                 if not _in_add(back, cls, units):
@@ -309,7 +345,6 @@ def _restrict(ctx: RecollementContext, t: Representation, roster: Roster | None,
         hyp["holds"] = hyp["torsion_closed"] and hyp["free_closed"]
     tclass = _image_classes(ctx, roster, "i*" if left else "j*", part.torsion)
     fclass = _image_classes(ctx, roster, "i!" if left else "j*", part.free)
-    own = _roster(module.algebra)
     induced = partition_roster(module, own)
     equal = (not induced.neither
              and _same_classes(tclass, [own.modules[i] for i in induced.torsion])

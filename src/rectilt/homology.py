@@ -33,6 +33,8 @@ from .rep import (
     SES,
     _intertwining_rows,
     _linear_combination,
+    _multiplicity,
+    _unit_rank,
     cokernel,
     direct_sum,
     direct_sum_with_maps,
@@ -469,11 +471,13 @@ class Roster:
 
     ``ext1_vanishes`` fills a table of Ext^1 between entries on first use:
     one ``ext1_dim`` per ordered pair for the life of the roster, however
-    many tilting modules are checked against it.
+    many tilting modules are checked against it.  ``unit_rank`` does the
+    same for rank P(X, X) per entry, which ``decompose`` reads.
     """
     algebra: BoundQuiverAlgebra
     entries: list[RosterEntry]
     _ext1: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _unit: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def modules(self) -> list[Representation]:
@@ -484,6 +488,36 @@ class Roster:
         if (i, j) not in self._ext1:
             self._ext1[i, j] = ext1_dim(self.entries[i].module, self.entries[j].module) == 0
         return self._ext1[i, j]
+
+    def unit_rank(self, i: int) -> int:
+        """rank P(X_i, X_i) = dim End(X_i)/rad for the entry X_i."""
+        if i not in self._unit:
+            self._unit[i] = _unit_rank(self.entries[i].module)
+        return self._unit[i]
+
+    def decompose(self, m: Representation) -> list[tuple[Representation, int]] | None:
+        """``rep.decompose(m)`` read off the roster, or None if the roster does not account for m.
+
+        An entry X that fits in m (X.dims <= m.dims at every vertex) occurs
+        rank P(X, m) / rank P(X, X) times.  The entries are pairwise
+        non-isomorphic indecomposables, so once their multiplicities add up
+        to dim m, Krull-Schmidt gives m = sum of X^mult and no later entry
+        can occur.  The pairs come in roster order, the entries themselves
+        standing for their classes.  A module over another algebra gives None.
+        """
+        if m.algebra is not self.algebra:
+            return None
+        found, covered = [], 0
+        for i, entry in enumerate(self.entries):
+            if covered == m.total_dim:
+                break
+            x = entry.module
+            if all(x.dims[v] <= d for v, d in m.dims.items()):
+                k = _multiplicity(x, m, self.unit_rank(i))
+                if k:
+                    found.append((x, k))
+                    covered += k * x.total_dim
+        return found if covered == m.total_dim else None
 
     def find(self, m: Representation) -> int | None:
         """Index of the entry isomorphic to m, or None; m may be any module."""

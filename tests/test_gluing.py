@@ -274,15 +274,80 @@ def _counting(monkeypatch, module, name):
     return seen
 
 
-def test_glue_decomposes_only_its_inputs_and_the_middle_term(ctx, roster, monkeypatch):
+def test_glue_and_restriction_decompose_only_what_no_roster_holds(ctx, roster, glued,
+                                                                 monkeypatch):
     seen = _counting(monkeypatch, rep, "decompose")
     for module in (tilting, gluing):
         monkeypatch.setattr(module, "decompose", rep.decompose)
+    # the middle term is read off the roster: only T' and T'' are decomposed
+    for outer in (t_outer_case1(ctx), t_outer_case2(ctx)):
+        seen.clear()
+        spec = GluedPairSpec(ctx, t_inner(ctx), outer)
+        glue_tilting(spec, roster)
+        assert len(seen) == 2
+        assert seen[0] is spec.inner_tilting and seen[1] is spec.outer_tilting
+    # j^*T is read off the outer roster: only uncached roster images are decomposed
+    fresh = split_context(glued, ["3", "4", "5"])
+    t = t_case4(roster, glued)
+    seen.clear()
+    restrict_right(fresh, t, roster)
+    images = gluing._images(fresh, roster, "j*")[0]
+    assert seen and all(any(m is x for x in images) for m in seen)
+    assert len({id(m) for m in seen}) == len(seen)
+    seen.clear()
+    restrict_right(fresh, t, roster)
+    assert seen == []
+
+
+@pytest.mark.parametrize("stand_in", ["trimmed", "other_algebra"])
+def test_glue_and_restriction_fall_back_to_decompose(stand_in, ctx, roster, glued,
+                                                     product_algebra, monkeypatch):
+    t = t_case4(roster, glued)
+    specs = [GluedPairSpec(ctx, t_inner(ctx), t_outer_case1(ctx)),
+             GluedPairSpec(ctx, t_inner(ctx), t_outer_case2(ctx))]
+    want = ([glue_tilting(spec, roster).to_json() for spec in specs]
+            + [restrict_right(ctx, t, roster).to_json()])
+    other = enumerate_roster(product_algebra)
+    real = homology.Roster.decompose
+    answers = []
+
+    def stand_in_decompose(self, m):
+        """The answer of a roster that lacks a summand of m, or of another algebra's."""
+        if stand_in == "other_algebra":
+            answers.append(real(other, m))
+        else:
+            gone = real(self, m)[0][0]
+            answers.append(real(homology.Roster(
+                self.algebra, [e for e in self.entries if e.module is not gone]), m))
+        return answers[-1]
+
+    monkeypatch.setattr(homology.Roster, "decompose", stand_in_decompose)
+    got = ([glue_tilting(spec, roster).to_json() for spec in specs]
+           + [restrict_right(ctx, t, roster).to_json()])
+    assert answers == [None] * 3
+    assert got == want
+
+
+def test_ext_projectives_mismatch_names_its_witness(ctx, roster, monkeypatch):
     spec = GluedPairSpec(ctx, t_inner(ctx), t_outer_case1(ctx))
-    cert = glue_tilting(spec, roster)
-    want = [spec.inner_tilting, spec.outer_tilting, cert.universal.middle]
-    assert len(seen) == 3
-    assert all(got is m for got, m in zip(seen, want))
+    assert "ext_projectives_witness" not in glue_tilting(spec, roster).to_json()
+    real = gluing._ext_projective_classes
+    dropped = []
+    free = by_dims(roster, (0, 1, 0, 0, 0))
+
+    def fewer(*args):
+        projs = real(*args)
+        dropped.append(projs[0])
+        return projs[1:]
+
+    for patched, missing_from in ((fewer, "ext_projectives"),
+                                  (lambda *args: real(*args) + [free], "glued")):
+        monkeypatch.setattr(gluing, "_ext_projective_classes", patched)
+        cert = glue_tilting(spec, roster)
+        assert not cert.ext_projectives_match and not cert.passed
+        named = dropped[0] if missing_from == "ext_projectives" else free
+        assert cert.to_json()["ext_projectives_witness"] == {
+            "class_dims": named.to_json()["dims"], "missing_from": missing_from}
 
 
 def test_restrict_right_enumerates_each_roster_once(glued, roster, monkeypatch):
@@ -398,6 +463,15 @@ def test_cached_images_die_with_context_and_roster(glued):
     del ctx, shared
     gc.collect()
     assert all(r() is None for r in refs)
+
+
+def test_images_do_not_keep_fresh_rosters_alive(glued):
+    ctx = split_context(glued, ["3", "4", "5"])
+    spec = GluedPairSpec(ctx, t_inner(ctx), t_outer_case1(ctx))
+    for _ in range(10):
+        glue_tilting(spec, enumerate_roster(glued))
+    gc.collect()
+    assert len(ctx._roster_images) <= 1
 
 
 def test_second_glue_recomputes_no_roster_data(glued, monkeypatch):

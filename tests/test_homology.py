@@ -5,11 +5,14 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rectilt import homology as homology_module
 from rectilt.algebra import Path, Quiver, Relation, build_algebra
 from rectilt.errors import CapExceeded, RectiltError
 from rectilt.homology import (
+    Roster,
     enumerate_roster,
     ext1,
     ext1_dim,
@@ -27,6 +30,7 @@ from rectilt.homology import (
     top,
     tor1_right,
     transpose,
+    universal_extension,
 )
 from rectilt.linalg import Mat, solve
 from rectilt.recollement import bimodule_right, quotient_right_module, split_context
@@ -34,6 +38,7 @@ from rectilt.rep import (
     Morphism,
     Representation,
     cokernel,
+    decompose,
     direct_sum,
     direct_sum_with_maps,
     dual,
@@ -43,6 +48,7 @@ from rectilt.rep import (
     is_isomorphic,
     kernel,
     projective,
+    same_class,
     simple,
     zero_morphism,
     zero_rep,
@@ -469,3 +475,44 @@ def test_presentation_cache_is_bounded_and_drops_the_oldest(monkeypatch):
     again = min_presentation(mods[0])
     assert again is not pres[0] and _presentation_json(again) == _presentation_json(pres[0])
     assert mods[1]._pres is None and len(homology_module._PRESENTED) == 3
+
+
+# -- summand classes read off the roster against decompose ---------------------------
+
+
+@pytest.fixture(scope="module")
+def classifier_rosters(glued, product_algebra, mutated_algebra):
+    """Rosters of the glued, product and mutated algebras and of linear A_4 and A_5."""
+    linear = [build_algebra(Quiver([str(v) for v in range(1, n + 1)],
+                                   [(f"x{v}", str(v), str(v + 1)) for v in range(1, n)]), [])
+              for n in (4, 5)]
+    return [enumerate_roster(alg) for alg in [glued, product_algebra, mutated_algebra] + linear]
+
+
+def test_enumerate_roster_computes_no_unit_rank(glued):
+    assert enumerate_roster(glued)._unit == {}
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_roster_decompose_agrees_with_decompose(classifier_rosters, data):
+    at = data.draw(st.integers(0, len(classifier_rosters) - 1), label="algebra")
+    roster = classifier_rosters[at]
+    mods = roster.modules
+    picks = data.draw(st.lists(st.integers(0, len(mods) - 1), min_size=1, max_size=4),
+                      label="picks")
+    m = direct_sum(roster.algebra, [mods[i] for i in picks])
+    targets = [x for x in mods if ext1_dim(m, x)]
+    if targets and data.draw(st.booleans(), label="middle"):
+        # the middle of the universal extension of the sum by one roster module
+        by = targets[data.draw(st.integers(0, len(targets) - 1), label="by")]
+        m = universal_extension(ext1(m, by)).middle
+    got, want = roster.decompose(m), decompose(m)
+    assert got is not None and len(got) == len(want)
+    for x, k in want:
+        assert [j for y, j in got if same_class(x, y)] == [k]
+    # a roster that lacks one summand class of m, and another algebra's roster
+    gone = got[data.draw(st.integers(0, len(got) - 1), label="gone")][0]
+    trimmed = Roster(roster.algebra, [e for e in roster.entries if e.module is not gone])
+    assert trimmed.decompose(m) is None
+    assert classifier_rosters[(at + 1) % len(classifier_rosters)].decompose(m) is None
