@@ -35,15 +35,21 @@ the object it belongs to:
 - i^*X, j^*X and i^!X of each roster entry X, and the summand classes of
   these images, on the recollement context, per roster (``_images``),
   read by the partition check and by the restricted classes; the roster
-  itself is held by weak reference only.
+  itself is held by weak reference only;
+- the tilting certificates of a glued pair's inputs T' and T'', on the
+  frozen ``GluedPairSpec`` (``inner_certificate``, ``outer_certificate``),
+  read by every glue of that spec.
 
-Only the Gen/perp membership against T is tested on every verdict.
+Only the Gen/perp membership against T is tested on every verdict.  The
+exactness report is lazy and not held: a glue computes only the j_! Tor
+family, and the left restriction only the i^* one.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import HypothesisFailed
 from .homology import Roster, enumerate_roster, ext1, ext1_dim, universal_extension
@@ -134,11 +140,31 @@ def _image_classes(ctx: RecollementContext, roster: Roster, name: str,
     return basic_summands([p for i in indices for p in classes[i]])
 
 
-@dataclass
+@dataclass(frozen=True)
 class GluedPairSpec:
+    """Two tilting modules to glue across ctx's recollement.
+
+    The spec is frozen, so its input certificates, computed on first read
+    and held on it, always certify its own fields; ``dataclasses.replace``
+    gives a new spec that certifies afresh.
+    """
     ctx: RecollementContext
     inner_tilting: Representation      # over the inner algebra
     outer_tilting: Representation      # over the outer algebra
+
+    def __post_init__(self):
+        if self.inner_tilting.algebra is not self.ctx.inner_algebra:
+            raise ValueError("inner_tilting must be a module over the inner algebra")
+        if self.outer_tilting.algebra is not self.ctx.outer_algebra:
+            raise ValueError("outer_tilting must be a module over the outer algebra")
+
+    @cached_property
+    def inner_certificate(self) -> TiltingCertificate:
+        return is_tilting(self.inner_tilting)
+
+    @cached_property
+    def outer_certificate(self) -> TiltingCertificate:
+        return is_tilting(self.outer_tilting)
 
 
 def glued_membership(spec: GluedPairSpec, m: Representation) -> str:
@@ -181,6 +207,8 @@ class GlueCertificate:
     partition_witness: dict | None = None
     # the first class among the Ext-projectives or the summands only, when they differ
     ext_projectives_witness: dict | None = None
+    # {"ext1_dim": dim Ext^1(M, j_! T'')}, when it is not zero
+    universal_ext_witness: dict | None = None
 
     @property
     def passed(self) -> bool:
@@ -203,6 +231,8 @@ class GlueCertificate:
             out["partition_witness"] = self.partition_witness
         if not self.ext_projectives_match:
             out["ext_projectives_witness"] = self.ext_projectives_witness
+        if not self.universal_ext_vanishes:
+            out["universal_ext_witness"] = self.universal_ext_witness
         return out
 
 
@@ -211,19 +241,19 @@ def glue_tilting(spec: GluedPairSpec, roster: Roster | None = None) -> GlueCerti
 
     Hypotheses checked up front: the tensor lift must be exact (Tor
     vanishing on outer simples) and both inputs must be tilting; failures
-    raise HypothesisFailed naming the culprit.
+    raise HypothesisFailed naming the culprit.  The inputs' certificates
+    are the spec's own, so a spec glued again certifies nothing.
     """
     ctx = spec.ctx
-    exact = check_exactness(ctx)
-    if not exact.j_shriek_exact:
+    if not check_exactness(ctx).j_shriek_exact:
         raise HypothesisFailed("j_!", "Tor_1 of the crossing bimodule is nonzero "
                                       "on an outer simple")
-    inner_cert = is_tilting(spec.inner_tilting)
+    inner_cert = spec.inner_certificate
     if not inner_cert.tilting:
         raise HypothesisFailed("inner tilting module",
                                f"pd={inner_cert.pd}, ext1={inner_cert.ext1_self}, "
                                f"t3={inner_cert.t3_constructive}")
-    outer_cert = is_tilting(spec.outer_tilting)
+    outer_cert = spec.outer_certificate
     if not outer_cert.tilting:
         raise HypothesisFailed("outer tilting module",
                                f"pd={outer_cert.pd}, ext1={outer_cert.ext1_self}, "
@@ -236,7 +266,8 @@ def glue_tilting(spec: GluedPairSpec, roster: Roster | None = None) -> GlueCerti
     ext_space = ext1(lifted_inner, lifted_outer)
     ses = universal_extension(ext_space)
     middle = ses.middle
-    universal_ok = ext1_dim(middle, lifted_outer) == 0
+    universal_dim = ext1_dim(middle, lifted_outer)
+    universal_ok = universal_dim == 0
 
     summands = basic_summands([j_shriek(ctx, x) for x in outer_cert.classes]
                               + [p for p, _ in _pieces(roster, middle)])
@@ -270,6 +301,7 @@ def glue_tilting(spec: GluedPairSpec, roster: Roster | None = None) -> GlueCerti
         ext_projectives_match=projs_match,
         partition_witness=witness,
         ext_projectives_witness=None if projs_match else _missing_class(projs, summands),
+        universal_ext_witness=None if universal_ok else {"ext1_dim": universal_dim},
     )
 
 

@@ -21,8 +21,9 @@ Functor dictionary (modules as triples (X, Y)_f):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .algebra import BoundQuiverAlgebra, Quiver, build_algebra
 from .errors import NotTriangular, RectiltError
@@ -306,11 +307,32 @@ def quotient_right_module(ctx: RecollementContext) -> Representation:
 FUNCTOR_NAMES = ("i*", "i_*", "i!", "j_!", "j*", "j_*")
 
 
-@dataclass
+@dataclass(eq=False)
 class ExactnessReport:
-    structural: dict
-    j_shriek_tor: dict
-    i_upper_star_tor: dict
+    """Tor_1 certificates of a split's exactness, one family per functor.
+
+    Each family is computed from ``ctx`` the first time it is read, so a
+    caller that reads one family never builds the other.
+    """
+    ctx: RecollementContext
+    structural: dict = field(init=False, default_factory=lambda: {
+        "i_*": True, "i!": True, "j*": True, "j_*": True})
+
+    @cached_property
+    def j_shriek_tor(self) -> dict:
+        """Tor_1(N, S) for each outer simple S."""
+        ctx = self.ctx
+        nright = bimodule_right(ctx)
+        return {w: tor1_right(nright, simple(ctx.outer_algebra, w))
+                for w in ctx.outer_vertices}
+
+    @cached_property
+    def i_upper_star_tor(self) -> dict:
+        """Tor_1 of the inner algebra, as a right whole-algebra module, with each simple."""
+        ctx = self.ctx
+        qright = quotient_right_module(ctx)
+        return {v: tor1_right(qright, simple(ctx.algebra, v))
+                for v in ctx.algebra.vertices}
 
     @property
     def j_shriek_exact(self) -> bool:
@@ -335,15 +357,14 @@ class ExactnessReport:
 
 
 def check_exactness(ctx: RecollementContext) -> ExactnessReport:
-    """Tor_1 certificates against all simples; restrictions are exact as built."""
-    nright = bimodule_right(ctx)
-    jtor = {w: tor1_right(nright, simple(ctx.outer_algebra, w))
-            for w in ctx.outer_vertices}
-    qright = quotient_right_module(ctx)
-    itor = {v: tor1_right(qright, simple(ctx.algebra, v))
-            for v in ctx.algebra.vertices}
-    structural = {"i_*": True, "i!": True, "j*": True, "j_*": True}
-    return ExactnessReport(structural, jtor, itor)
+    """Tor_1 certificates against all simples; restrictions are exact as built.
+
+    The report is lazy: each Tor_1 family is computed when it is first
+    read (``j_shriek_tor`` on the outer simples, ``i_upper_star_tor`` on
+    the whole algebra's) and then held on the report.  The report is not
+    held on ctx; each call returns a fresh one.
+    """
+    return ExactnessReport(ctx)
 
 
 def verify_recollement_identities(ctx: RecollementContext, lambda_samples,

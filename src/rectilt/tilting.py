@@ -59,6 +59,8 @@ class TiltingCertificate:
     indecomposable_count: int | None = None
     simple_count: int | None = None
     classes: list | None = field(default=None, compare=False)  # one per summand class
+    # where the (T3) construction first fails: {"vertex", "failure", "dims"}
+    t3_witness: dict | None = None
 
     @property
     def t1(self) -> bool:
@@ -77,7 +79,7 @@ class TiltingCertificate:
         return self.partial_tilting and bool(self.t3_constructive)
 
     def to_json(self):
-        return {
+        out = {
             "dims": {v: self.module.dims[v] for v in self.module.algebra.vertices},
             "pd": self.pd,
             "ext1_self": self.ext1_self,
@@ -89,6 +91,9 @@ class TiltingCertificate:
             "partial_tilting": self.partial_tilting,
             "tilting": self.tilting,
         }
+        if self.t3_witness is not None:
+            out["t3_witness"] = self.t3_witness
+        return out
 
 
 def is_partial_tilting(t: Representation) -> TiltingCertificate:
@@ -108,6 +113,9 @@ def is_tilting(t: Representation) -> TiltingCertificate:
     criterion (#classes = #simples) is checked to agree whenever the
     module is partial tilting.  ``classes`` on the certificate holds one
     indecomposable per summand class of T, as ``decompose`` found them.
+    When (T3) fails, ``t3_witness`` names the first vertex v whose
+    approximation is not injective (with its target's dims) or whose
+    cokernel lies outside add(T) (with the cokernel's dims).
     """
     return _certify_tilting(t, [rep for rep, _ in decompose(t)])
 
@@ -128,20 +136,20 @@ def _certify_tilting(t: Representation, classes) -> TiltingCertificate:
         return cert
     units, radical_spans = _class_radicals(classes)
     # approximate each projective separately; the sequences add up
-    verdict = True
     mid_dims = []
     cok_dims = []
     for v in alg.vertices:
         approx = _left_approximation(v, classes, radical_spans)
+        mid_dims.append(approx.target.dim_vector())
         if not approx.is_injective():
-            verdict = False
+            cert.t3_witness = _t3_witness(alg, v, "not_injective", mid_dims[-1])
             break
         cok, _ = cokernel(approx)
-        mid_dims.append(approx.target.dim_vector())
         cok_dims.append(cok.dim_vector())
         if not _in_add(cok, classes, units):
-            verdict = False
+            cert.t3_witness = _t3_witness(alg, v, "cokernel_outside_add", cok_dims[-1])
             break
+    verdict = cert.t3_witness is None
     cert.t3_constructive = verdict
     if verdict:
         cert.t3_sequence_dims = (regular_module(alg).dim_vector(),
@@ -153,6 +161,11 @@ def _certify_tilting(t: Representation, classes) -> TiltingCertificate:
             raise RectiltError(
                 "internal error: (T3) construction and summand count disagree")
     return cert
+
+
+def _t3_witness(alg, v, failure: str, dims: tuple) -> dict:
+    """The (T3) witness at v, naming the failure and the dims of the module it concerns."""
+    return {"vertex": v, "failure": failure, "dims": dict(zip(alg.vertices, dims))}
 
 
 def _class_radicals(classes):

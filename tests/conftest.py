@@ -1,4 +1,4 @@
-"""Shared fixture algebras: the inner A2, the bound A3, and the glued one."""
+"""Shared fixtures: the inner A2, the bound A3, the glued algebra, and a call counter."""
 
 import pytest
 
@@ -53,3 +53,24 @@ def mutated_algebra():
     )
     rels = [Relation([(1, ("alpha", "beta"))]), Relation([(1, ("alpha", "c"))])]
     return build_algebra(q, rels, 10)
+
+
+@pytest.fixture
+def counting(monkeypatch):
+    """``counting(module, name, pick=0)``: route ``module.name`` through a recording wrapper.
+
+    Returns the list that receives ``args[pick]`` of each call, the first
+    positional argument by default; a slice records a tuple of them.
+    """
+    def install(module, name, pick=0):
+        seen = []
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            seen.append(args[pick])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+        return seen
+
+    return install

@@ -1,5 +1,6 @@
 """Gluing and restriction on the four worked cases of the source example."""
 
+import dataclasses
 import gc
 import weakref
 
@@ -230,14 +231,18 @@ def test_restrict_left_verified_on_product(product_algebra):
 
 # -- hypothesis gates -----------------------------------------------------------------
 
-def test_glue_rejects_nonflat_bimodule(mutated_algebra):
+def test_glue_rejects_nonflat_bimodule(mutated_algebra, counting):
     ctx = split_context(mutated_algebra, ["3", "4", "5"])
     inn, out = ctx.inner_algebra, ctx.outer_algebra
     t_in = direct_sum(inn, [projective(inn, "1"), simple(inn, "1")])
     t_out = direct_sum(out, [projective(out, v) for v in out.vertices])
+    simples = counting(recollement, "tor1_right", 1)
     with pytest.raises(HypothesisFailed) as err:
         glue_tilting(GluedPairSpec(ctx, t_in, t_out))
     assert err.value.culprit == "j_!"
+    assert err.value.detail == "Tor_1 of the crossing bimodule is nonzero on an outer simple"
+    # the i^* family is never built for a glue
+    assert len(simples) == 3 and all(s.algebra is out for s in simples)
 
 
 def test_glue_rejects_non_tilting_inputs(ctx, roster):
@@ -261,22 +266,9 @@ def test_check_restriction_hypotheses_trivial_for_regular(ctx, roster, glued):
 # -- known summand classes: what gluing and restriction no longer recompute ----------
 
 
-def _counting(monkeypatch, module, name):
-    """Route ``module.name`` through a wrapper that records its first argument."""
-    seen = []
-    real = getattr(module, name)
-
-    def wrapper(first, *args, **kwargs):
-        seen.append(first)
-        return real(first, *args, **kwargs)
-
-    monkeypatch.setattr(module, name, wrapper)
-    return seen
-
-
 def test_glue_and_restriction_decompose_only_what_no_roster_holds(ctx, roster, glued,
-                                                                 monkeypatch):
-    seen = _counting(monkeypatch, rep, "decompose")
+                                                                 monkeypatch, counting):
+    seen = counting(rep, "decompose")
     for module in (tilting, gluing):
         monkeypatch.setattr(module, "decompose", rep.decompose)
     # the middle term is read off the roster: only T' and T'' are decomposed
@@ -350,10 +342,10 @@ def test_ext_projectives_mismatch_names_its_witness(ctx, roster, monkeypatch):
             "class_dims": named.to_json()["dims"], "missing_from": missing_from}
 
 
-def test_restrict_right_enumerates_each_roster_once(glued, roster, monkeypatch):
+def test_restrict_right_enumerates_each_roster_once(glued, roster, counting):
     fresh = split_context(glued, ["3", "4", "5"])
     t = t_case4(roster, glued)
-    seen = _counting(monkeypatch, gluing, "enumerate_roster")
+    seen = counting(gluing, "enumerate_roster")
     first = restrict_right(fresh, t, roster)
     assert len(seen) == 1 and seen[0] is fresh.outer_algebra
     second = restrict_right(fresh, t, roster)
@@ -474,28 +466,116 @@ def test_images_do_not_keep_fresh_rosters_alive(glued):
     assert len(ctx._roster_images) <= 1
 
 
-def test_second_glue_recomputes_no_roster_data(glued, monkeypatch):
+def test_second_glue_recomputes_no_roster_data(glued, counting):
     ctx = split_context(glued, ["3", "4", "5"])
     shared = enumerate_roster(glued)
     entries = {id(m) for m in shared.modules}
-    on_roster = []
     # ext1_dim(X, Y) with X and Y roster entries, i_upper_star(ctx, X) with X one
-    for module, name, picked in ((homology, "ext1_dim", slice(0, 2)),
-                                 (tilting, "ext1_dim", slice(0, 2)),
-                                 (gluing, "ext1_dim", slice(0, 2)),
-                                 (recollement, "i_upper_star", slice(1, 2)),
-                                 (gluing, "i_upper_star", slice(1, 2))):
-        def wrapper(*args, _real=getattr(module, name), _name=name, _picked=picked):
-            if all(id(a) in entries for a in args[_picked]):
-                on_roster.append(_name)
-            return _real(*args)
-        monkeypatch.setattr(module, name, wrapper)
+    calls = [(name, counting(module, name, picked))
+             for module, name, picked in ((homology, "ext1_dim", slice(0, 2)),
+                                          (tilting, "ext1_dim", slice(0, 2)),
+                                          (gluing, "ext1_dim", slice(0, 2)),
+                                          (recollement, "i_upper_star", slice(1, 2)),
+                                          (gluing, "i_upper_star", slice(1, 2)))]
+
+    def on_roster():
+        return {name for name, seen in calls
+                if any(all(id(a) in entries for a in args) for args in seen)}
+
     spec = GluedPairSpec(ctx, t_inner(ctx), t_outer_case1(ctx))
     first = glue_tilting(spec, shared)
-    assert {"ext1_dim", "i_upper_star"} <= set(on_roster)
-    on_roster.clear()
+    assert on_roster() == {"ext1_dim", "i_upper_star"}
+    for _, seen in calls:
+        seen.clear()
     assert glue_tilting(spec, shared).to_json() == first.to_json()
-    assert on_roster == []
+    assert on_roster() == set()
+
+
+# -- the inputs' certificates on the spec, one Tor_1 family per reader ------------------
+
+
+def test_second_glue_certifies_nothing(ctx, roster, counting):
+    seen = counting(gluing, "is_tilting")
+    spec = GluedPairSpec(ctx, t_inner(ctx), t_outer_case1(ctx))
+    first = glue_tilting(spec, roster)
+    assert len(seen) == 2
+    assert seen[0] is spec.inner_tilting and seen[1] is spec.outer_tilting
+    seen.clear()
+    assert glue_tilting(spec, roster).to_json() == first.to_json()
+    assert glued_pair_is_tilting(spec)
+    assert seen == []
+
+
+def test_replaced_spec_certifies_its_new_module(ctx, roster, counting):
+    spec = GluedPairSpec(ctx, t_inner(ctx), t_outer_case1(ctx))
+    glue_tilting(spec, roster)
+    seen = counting(gluing, "is_tilting")
+    other = dataclasses.replace(spec, outer_tilting=t_outer_case2(ctx))
+    cert = glue_tilting(other, roster)
+    # a replaced spec is a new object and holds no certificate of the old one
+    assert len(seen) == 2 and seen[1] is other.outer_tilting
+    assert other.outer_certificate is not spec.outer_certificate
+    assert other.outer_certificate.module is other.outer_tilting
+    assert cert.to_json() == glue_tilting(
+        GluedPairSpec(ctx, t_inner(ctx), t_outer_case2(ctx)), roster).to_json()
+    assert {s.dim_vector() for s in cert.summands} == CASE2_SUMMANDS
+
+
+def test_spec_fields_cannot_be_assigned(ctx):
+    spec = GluedPairSpec(ctx, t_inner(ctx), t_outer_case1(ctx))
+    held = spec.outer_certificate
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spec.outer_tilting = t_outer_case2(ctx)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spec.outer_certificate = is_tilting(t_outer_case2(ctx))
+    assert spec.outer_certificate is held and held.module is spec.outer_tilting
+
+
+@pytest.mark.parametrize("slots, wrong", [
+    (("outer", "inner"), "inner_tilting"),     # swapped
+    (("whole", "outer"), "inner_tilting"),
+    (("inner", "inner"), "outer_tilting"),
+    (("inner", "whole"), "outer_tilting"),
+], ids=["swapped", "whole_as_inner", "inner_as_outer", "whole_as_outer"])
+def test_spec_rejects_a_module_over_the_wrong_algebra(slots, wrong, ctx, counting):
+    seen = counting(gluing, "is_tilting")
+    module = {"inner": t_inner(ctx), "outer": t_outer_case1(ctx),
+              "whole": regular_module(ctx.algebra)}
+    with pytest.raises(ValueError, match=f"^{wrong} must be a module over"):
+        GluedPairSpec(ctx, *(module[s] for s in slots))
+    assert seen == []
+
+
+def test_glue_computes_tor_only_on_the_outer_simples(ctx, roster, counting):
+    simples = counting(recollement, "tor1_right", 1)
+    glue_tilting(GluedPairSpec(ctx, t_inner(ctx), t_outer_case1(ctx)), roster)
+    assert all(s.algebra is ctx.outer_algebra for s in simples)
+    assert [s.dim_vector() for s in simples] == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+
+
+def test_restrict_left_computes_tor_only_on_the_whole_simples(ctx, roster, glued, counting):
+    simples = counting(recollement, "tor1_right", 1)
+    res = restrict_left(ctx, t_case4(roster, glued), roster)
+    assert all(s.algebra is glued for s in simples)
+    assert [s.dim_vector() for s in simples] == [
+        tuple(int(w == v) for w in glued.vertices) for v in glued.vertices]
+    assert res.hypotheses["tor1_on_simples"]["3"] == 1
+
+
+def test_universal_ext_failure_names_its_dimension(ctx, roster, monkeypatch):
+    spec = GluedPairSpec(ctx, t_inner(ctx), t_outer_case1(ctx))
+    assert "universal_ext_witness" not in glue_tilting(spec, roster).to_json()
+    calls = []
+
+    def nonzero(m, y):
+        calls.append((m, y))
+        return 3
+
+    monkeypatch.setattr(gluing, "ext1_dim", nonzero)
+    cert = glue_tilting(spec, roster)
+    assert len(calls) == 1 and calls[0][0] is cert.universal.middle
+    assert not cert.universal_ext_vanishes and not cert.passed
+    assert cert.to_json()["universal_ext_witness"] == {"ext1_dim": 3}
 
 
 # -- the fit filter of _in_add against the unfiltered multiplicity sum ----------------

@@ -178,6 +178,27 @@ def test_injective_cogenerator_coresolution():
     assert cert.t3_sequence_dims == ((1, 2, 3, 4), (4, 4, 4, 4), (3, 2, 1, 0))
 
 
+@pytest.mark.parametrize("summands, witness", [
+    # P(1) = (1,1,1,1) reaches I(1) + I(2) + I(3) only through (1,1,1,0)
+    ([("I", "1"), ("I", "2"), ("I", "3")],
+     {"vertex": "1", "failure": "not_injective", "dims": {"1": 1, "2": 1, "3": 1, "4": 0}}),
+    # P(4) -> P(3) has cokernel S(3), which is no summand of P(1) + P(2) + P(3)
+    ([("P", "1"), ("P", "2"), ("P", "3")],
+     {"vertex": "4", "failure": "cokernel_outside_add",
+      "dims": {"1": 0, "2": 0, "3": 1, "4": 0}}),
+], ids=["not_injective", "cokernel_outside_add"])
+def test_t3_failure_names_its_vertex(summands, witness):
+    alg = linear_algebra(4)
+    make = {"I": injective, "P": projective}
+    cert = is_tilting(direct_sum(alg, [make[kind](alg, v) for kind, v in summands]))
+    assert cert.partial_tilting and not cert.tilting
+    assert cert.indecomposable_count == 3 < cert.simple_count
+    assert cert.t3_witness == witness
+    assert cert.to_json()["t3_witness"] == witness
+    assert cert.t3_sequence_dims is None
+    assert "t3_witness" not in is_tilting(regular_module(alg)).to_json()
+
+
 # -- trace and membership ---------------------------------------------------
 
 def test_gen_member_of_regular(inner, glued):
