@@ -7,8 +7,8 @@ mathematical claim backed by a recomputable certificate.
 
 from .linalg import Mat
 
-# The one elimination kernel is pure Python (``_rowred_py``); benchmark
-# records carry this name.
+# The one elimination kernel, ``linalg.reduce_rows``, is pure Python;
+# benchmark records carry this name.
 BACKEND = "python"
 
 __version__ = "0.1.0"

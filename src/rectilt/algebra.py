@@ -18,9 +18,6 @@ from fractions import Fraction
 from .errors import CapExceeded, RectiltError, RelationIllFormed
 from .linalg import Mat, format_fraction, parse_fraction, rref
 
-# Products are written right-to-left; stored paths list arrows first-applied-first.
-COMPOSITION_RIGHT_TO_LEFT = True
-
 DEFAULT_LENGTH_CAP = 30
 
 _ASSOC_CHECK_MAX_DIM = 80

@@ -27,15 +27,13 @@ the object it belongs to:
 
 - a whole-algebra roster that is not passed in, and the roster of each
   part, once per algebra object (``_roster``);
-- Ext^1 between two entries of a roster, on the roster
-  (``Roster.ext1_vanishes``), read by the Ext-projectivity check;
-- rank P(X, X) of each roster entry X, on the roster
-  (``Roster.unit_rank``), read by ``Roster.decompose`` and by the
-  restriction's closure check;
-- i^*X, j^*X and i^!X of each roster entry X, and the summand classes of
-  these images, on the recollement context, per roster (``_images``),
-  read by the partition check and by the restricted classes; the roster
-  itself is held by weak reference only;
+- on the roster, everything derived from its entries: Ext^1 between two
+  entries (``Roster.ext1_vanishes``), read by the Ext-projectivity
+  check; rank P(X, X) of each entry X (``Roster.unit_rank``), read by
+  ``Roster.decompose`` and by the restriction's closure check; and i^*X,
+  j^*X and i^!X of each entry X with the summand classes of these
+  images, per context (``_images``), read by the partition check and by
+  the restricted classes;
 - the tilting certificates of a glued pair's inputs T' and T'', on the
   frozen ``GluedPairSpec`` (``inner_certificate``, ``outer_certificate``),
   read by every glue of that spec.
@@ -47,7 +45,6 @@ family, and the left restriction only the i^* one.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -56,7 +53,7 @@ from .homology import Roster, enumerate_roster, ext1, ext1_dim, universal_extens
 from .rep import (
     Representation,
     SES,
-    _in_add,
+    _add_pieces,
     _same_classes,
     basic_summands,
     decompose,
@@ -79,7 +76,6 @@ from .recollement import (
 from .tilting import (
     TiltingCertificate,
     _certify_tilting,
-    _ext_projective_classes,
     gen_member,
     is_tilting,
     partition_roster,
@@ -99,20 +95,14 @@ def _images(ctx: RecollementContext, roster: Roster, name: str) -> tuple[list, d
     """(images, classes) of the roster's entries under ctx's functor ``name``: "i*", "j*" or "i!".
 
     The images depend on the split and the roster only, so they are built
-    once and held on ctx, keyed by the roster's id.  The entry holds the
-    roster by a weak reference whose callback drops the entry, so the id
-    cannot come back as another roster's and a dead roster's images go
-    with it.  ``classes`` maps an entry's index to one indecomposable per
+    once and held on the roster, keyed by (ctx, name); they go with the
+    roster.  ``classes`` maps an entry's index to one indecomposable per
     summand class of its image, filled on first use (``_image_classes``).
     """
-    held = ctx.__dict__.setdefault("_roster_images", {})
-    key = id(roster)
-    if key not in held:
-        held[key] = (weakref.ref(roster, lambda _: held.pop(key, None)), {})
-    by_name = held[key][1]
-    if name not in by_name:
-        by_name[name] = ([apply_functor(ctx, name, m) for m in roster.modules], {})
-    return by_name[name]
+    key = (ctx, name)
+    if key not in roster._images:
+        roster._images[key] = ([apply_functor(ctx, name, m) for m in roster.modules], {})
+    return roster._images[key]
 
 
 def _pieces(roster: Roster, m: Representation) -> list[tuple[Representation, int]]:
@@ -285,8 +275,8 @@ def glue_tilting(spec: GluedPairSpec, roster: Roster | None = None) -> GlueCerti
             witness = {"module_dims": m.to_json()["dims"], "glued": glued_as, "trace": got[i]}
             break
     torsion = part.torsion
-    projs = _ext_projective_classes([roster.modules[i] for i in torsion],
-                                    lambda a, b: roster.ext1_vanishes(torsion[a], torsion[b]))
+    projs = basic_summands([roster.modules[i] for i in torsion
+                            if all(roster.ext1_vanishes(i, j) for j in torsion)])
     projs_match = _same_classes(projs, summands)
 
     return GlueCertificate(
@@ -367,10 +357,9 @@ def _restrict(ctx: RecollementContext, t: Representation, roster: Roster | None,
                "j_star_lower_exact": True}
         for name, picked in (("free", part.free), ("torsion", part.torsion)):
             cls = [roster.modules[i] for i in picked]
-            units = [roster.unit_rank(i) for i in picked]
             for m in cls:
                 back = j_star_lower(ctx, j_star_upper(ctx, m))
-                if not _in_add(back, cls, units):
+                if _add_pieces(back, cls, lambda k: roster.unit_rank(picked[k])) is None:
                     hyp[f"{name}_closed"] = False
                     hyp[f"{name}_witness"] = back.to_json()["dims"]
                     break

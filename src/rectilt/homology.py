@@ -33,7 +33,7 @@ from .rep import (
     SES,
     _intertwining_rows,
     _linear_combination,
-    _multiplicity,
+    _add_pieces,
     _unit_rank,
     cokernel,
     direct_sum,
@@ -469,15 +469,23 @@ class RosterEntry:
 class Roster:
     """The indecomposables of an algebra, with what depends on nothing else.
 
-    ``ext1_vanishes`` fills a table of Ext^1 between entries on first use:
-    one ``ext1_dim`` per ordered pair for the life of the roster, however
-    many tilting modules are checked against it.  ``unit_rank`` does the
-    same for rank P(X, X) per entry, which ``decompose`` reads.
+    Data derived from the entries alone is filled on first use and held
+    here, for the life of the roster, however many modules are checked
+    against it:
+
+    - ``ext1_vanishes``: whether Ext^1 vanishes, per ordered pair of entries;
+    - ``unit_rank``: rank P(X, X) per entry, which ``decompose`` reads;
+    - ``_images``: the entries' images under a recollement functor and
+      the summand classes of those images, keyed by (context, functor
+      name) and filled by ``gluing``; a context compares by identity.
+
+    None of it is compared or serialized.
     """
     algebra: BoundQuiverAlgebra
     entries: list[RosterEntry]
     _ext1: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _unit: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _images: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def modules(self) -> list[Representation]:
@@ -498,33 +506,15 @@ class Roster:
     def decompose(self, m: Representation) -> list[tuple[Representation, int]] | None:
         """``rep.decompose(m)`` read off the roster, or None if the roster does not account for m.
 
-        An entry X that fits in m (X.dims <= m.dims at every vertex) occurs
-        rank P(X, m) / rank P(X, X) times.  The entries are pairwise
-        non-isomorphic indecomposables, so once their multiplicities add up
-        to dim m, Krull-Schmidt gives m = sum of X^mult and no later entry
-        can occur.  The pairs come in roster order, the entries themselves
-        standing for their classes.  A module over another algebra gives None.
+        The entries are pairwise non-isomorphic indecomposables, so
+        ``rep._add_pieces`` over them gives m's classes with their
+        multiplicities.  The pairs come in roster order, the entries
+        themselves standing for their classes.  A module over another
+        algebra gives None.
         """
         if m.algebra is not self.algebra:
             return None
-        found, covered = [], 0
-        for i, entry in enumerate(self.entries):
-            if covered == m.total_dim:
-                break
-            x = entry.module
-            if all(x.dims[v] <= d for v, d in m.dims.items()):
-                k = _multiplicity(x, m, self.unit_rank(i))
-                if k:
-                    found.append((x, k))
-                    covered += k * x.total_dim
-        return found if covered == m.total_dim else None
-
-    def find(self, m: Representation) -> int | None:
-        """Index of the entry isomorphic to m, or None; m may be any module."""
-        for i, entry in enumerate(self.entries):
-            if same_class(entry.module, m):
-                return i
-        return None
+        return _add_pieces(m, self.modules, self.unit_rank)
 
     def to_json(self):
         return [{"dims": e.module.to_json()["dims"],

@@ -5,7 +5,7 @@ out in the four operations here: :func:`rref`, :func:`kernel_basis`,
 :func:`solve` and :func:`quotient`.  Entries are ``fractions.Fraction``
 values, so every result is exact; there are no tolerances anywhere.
 
-One integer kernel, ``_rowred_py.reduce_rows``, does every elimination:
+One integer kernel, :func:`reduce_rows`, does every elimination:
 each rational row is scaled to integers by the lcm of its denominators,
 which changes neither row space nor solution set.  ``Fraction`` objects
 are built only at the edge.  The public ``Mat`` constructor coerces and
@@ -25,9 +25,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
-from math import lcm
+from math import gcd, lcm
 
-from . import _rowred_py as _rowred
 from .errors import RectiltError
 
 _ZERO = Fraction(0)
@@ -272,6 +271,53 @@ def _to_int_rows(mat: Mat, extra: Mat | None = None) -> list[list[int]]:
     return out
 
 
+def reduce_rows(rows, ncols):
+    """Row reduce integer ``rows`` in place to Gauss-Jordan form.
+
+    Pivoting is deterministic: leftmost pivot column, topmost nonzero
+    row.  Returns ``(pivot_rows, pivots)`` where ``pivot_rows`` are the
+    nonzero rows (one per pivot, in pivot-column order) and ``pivots``
+    is the strictly increasing list of pivot columns.  Each pivot column
+    is zero in every other returned row.  Entries are arbitrary-precision
+    integers; each updated row is divided by the gcd of its entries to
+    keep coefficient growth in check.
+    """
+    m = len(rows)
+    done = 0
+    pivots = []
+    for col in range(ncols):
+        pivot_row = -1
+        for i in range(done, m):
+            if rows[i][col] != 0:
+                pivot_row = i
+                break
+        if pivot_row < 0:
+            continue
+        if pivot_row != done:
+            rows[done], rows[pivot_row] = rows[pivot_row], rows[done]
+        prow = rows[done]
+        p = prow[col]
+        for i in range(m):
+            if i == done:
+                continue
+            row = rows[i]
+            f = row[col]
+            if f == 0:
+                continue
+            g = 0
+            for j in range(ncols):
+                v = p * row[j] - f * prow[j]
+                row[j] = v
+                if g != 1:
+                    g = gcd(g, v)
+            if g > 1:
+                for j in range(ncols):
+                    row[j] //= g
+        pivots.append(col)
+        done += 1
+    return rows[:done], pivots
+
+
 def _over(ints, p: int) -> tuple:
     """The rational row ``ints / p``, sharing ``_ZERO`` for zero entries."""
     if p == 1:
@@ -287,7 +333,7 @@ def rref(mat: Mat) -> tuple[Mat, list[int]]:
     """
     if mat.rows == 0 or mat.cols == 0:
         return Mat.zeros(mat.rows, mat.cols), []
-    reduced, pivots = _rowred.reduce_rows(_to_int_rows(mat), mat.cols)
+    reduced, pivots = reduce_rows(_to_int_rows(mat), mat.cols)
     out = [_over(row, row[c]) for row, c in zip(reduced, pivots)]
     out.extend([(_ZERO,) * mat.cols] * (mat.rows - len(out)))
     return Mat._trusted(mat.rows, mat.cols, tuple(out)), pivots
@@ -304,7 +350,7 @@ def int_kernel(rows: list[list[int]], ncols: int) -> Mat:
     a row by a nonzero integer changes nothing, so callers may clear
     denominators row by row.
     """
-    reduced, pivots = _rowred.reduce_rows(rows, ncols)
+    reduced, pivots = reduce_rows(rows, ncols)
     pivot_set = set(pivots)
     free = [j for j in range(ncols) if j not in pivot_set]
     out = [None] * ncols
@@ -338,7 +384,7 @@ def solve(mat: Mat, rhs: Mat) -> Mat | None:
     if mat.rows == 0:
         return Mat.zeros(mat.cols, rhs.cols)
     n = mat.cols
-    reduced, pivots = _rowred.reduce_rows(_to_int_rows(mat, rhs), n + rhs.cols)
+    reduced, pivots = reduce_rows(_to_int_rows(mat, rhs), n + rhs.cols)
     if pivots and pivots[-1] >= n:
         return None
     out = [(_ZERO,) * rhs.cols] * n

@@ -40,8 +40,9 @@ from .rep import (
 )
 
 
-@dataclass
+@dataclass(eq=False)
 class RecollementContext:
+    """A triangular split; it compares and hashes by identity, so it can key held data."""
     algebra: BoundQuiverAlgebra
     inner_vertices: tuple
     outer_vertices: tuple
@@ -361,8 +362,9 @@ def check_exactness(ctx: RecollementContext) -> ExactnessReport:
 
     The report is lazy: each Tor_1 family is computed when it is first
     read (``j_shriek_tor`` on the outer simples, ``i_upper_star_tor`` on
-    the whole algebra's) and then held on the report.  The report is not
-    held on ctx; each call returns a fresh one.
+    the whole algebra's) and then held on the report.  Nothing holds the
+    report: each call returns a fresh one, and a glue or a restriction
+    reads only the family it needs from it.
     """
     return ExactnessReport(ctx)
 

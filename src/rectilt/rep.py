@@ -351,8 +351,13 @@ def _pairing_matrix(fs, gs) -> Mat:
 
 
 def _trace_pairing(x: Representation, m: Representation):
-    """Bases of Hom(x, m) and Hom(m, x) with their trace pairing."""
-    fs, gs = hom_basis(x, m), hom_basis(m, x)
+    """Bases of Hom(x, m) and Hom(m, x) with their trace pairing.
+
+    When Hom(x, m) = 0 the pairing is zero whatever Hom(m, x) is, so that
+    basis is not built and comes back empty.
+    """
+    fs = hom_basis(x, m)
+    gs = hom_basis(m, x) if fs else []
     return fs, gs, _pairing_matrix(fs, gs)
 
 
@@ -782,7 +787,8 @@ def multiplicity(x: Representation, m: Representation) -> int:
 
 def _unit_rank(x: Representation) -> int:
     """rank P(x, x) = dim End(x)/rad for x indecomposable."""
-    return rank(_trace_pairing(x, x)[2])
+    ends = hom_basis(x, x)
+    return rank(_pairing_matrix(ends, ends))
 
 
 def _multiplicity(x: Representation, m: Representation, unit: int) -> int:
@@ -867,19 +873,30 @@ def in_add_of(m: Representation, classes) -> bool:
     The classes must be pairwise non-isomorphic indecomposables; then m is
     in add(classes) iff their multiplicities account for all of dim m.
     """
-    return _in_add(m, classes, [_unit_rank(t) for t in classes])
+    return _add_pieces(m, classes, lambda i: _unit_rank(classes[i])) is not None
 
 
-def _in_add(m: Representation, classes, units) -> bool:
-    """``in_add_of`` given each class's rank P(x, x) in ``units``.
+def _add_pieces(m: Representation, classes, unit) -> list[tuple[Representation, int]] | None:
+    """The (class, multiplicity) pairs of m, in class order, or None if m is not in add(classes).
 
-    A class t that does not fit in m (t.dims > m.dims at some vertex) is
-    no summand of m and is skipped unpaired, so ``_multiplicity``'s
-    divisibility check runs only on the classes that fit.
+    ``classes`` are pairwise non-isomorphic indecomposables and ``unit(i)``
+    is rank P(x, x) of ``classes[i]``.  A class x that fits in m (x.dims <=
+    m.dims at every vertex) occurs rank P(x, m) / rank P(x, x) times; one
+    that does not fit is no summand of m and is skipped unpaired, so
+    ``_multiplicity``'s divisibility check runs only on the classes that
+    fit.  Once the multiplicities add up to dim m, Krull-Schmidt gives m =
+    sum of x^mult and no later class can occur.
     """
-    return sum(_multiplicity(t, m, u) * t.total_dim
-               for t, u in zip(classes, units)
-               if all(t.dims[v] <= d for v, d in m.dims.items())) == m.total_dim
+    found, covered = [], 0
+    for i, x in enumerate(classes):
+        if covered == m.total_dim:
+            break
+        if all(x.dims[v] <= d for v, d in m.dims.items()):
+            k = _multiplicity(x, m, unit(i))
+            if k:
+                found.append((x, k))
+                covered += k * x.total_dim
+    return found if covered == m.total_dim else None
 
 
 def add_equal(ms, ns) -> bool:

@@ -30,7 +30,7 @@ from .rep import (
     Morphism,
     Representation,
     SES,
-    _in_add,
+    _add_pieces,
     _linear_combination,
     _pairing_matrix,
     basic_summands,
@@ -131,22 +131,19 @@ def _certify_tilting(t: Representation, classes) -> TiltingCertificate:
     cert.classes = classes
     cert.indecomposable_count = len(classes)
     cert.simple_count = len(alg.vertices)
-    if t.is_zero():
-        cert.t3_constructive = alg.dimension == 0
-        return cert
     units, radical_spans = _class_radicals(classes)
     # approximate each projective separately; the sequences add up
     mid_dims = []
     cok_dims = []
     for v in alg.vertices:
-        approx = _left_approximation(v, classes, radical_spans)
+        approx = _left_approximation(alg, v, classes, radical_spans)
         mid_dims.append(approx.target.dim_vector())
         if not approx.is_injective():
             cert.t3_witness = _t3_witness(alg, v, "not_injective", mid_dims[-1])
             break
         cok, _ = cokernel(approx)
         cok_dims.append(cok.dim_vector())
-        if not _in_add(cok, classes, units):
+        if _add_pieces(cok, classes, units.__getitem__) is None:
             cert.t3_witness = _t3_witness(alg, v, "cokernel_outside_add", cok_dims[-1])
             break
     verdict = cert.t3_witness is None
@@ -187,9 +184,8 @@ def _class_radicals(classes):
     return units, spans
 
 
-def _left_approximation(v, classes, radical_spans) -> Morphism:
+def _left_approximation(alg, v, classes, radical_spans) -> Morphism:
     """P(v) -> sum of T_i, once per unit vector off the pivots of R_i(v)."""
-    alg = classes[0].algebra
     legs = []
     for x, span in zip(classes, radical_spans):
         pivots = set(rref(span[v].transpose())[1])
@@ -334,24 +330,9 @@ def is_torsion_pair(tclass, fclass, roster: Roster) -> TorsionPairVerdict:
 
 
 def ext_projectives(classes) -> Representation:
-    """Direct sum of the Ext-projective members of a class list."""
-    picked = _ext_projective_classes(classes)
-    return direct_sum(picked[0].algebra, picked)
-
-
-def _ext_projective_classes(classes, ext1_zero=None) -> list[Representation]:
-    """The Ext-projective members of a class list, one per class (``basic_summands``).
-
-    ``ext1_zero(i, j)`` says whether Ext^1(classes[i], classes[j]) = 0.  It
-    is computed when not given; a list of roster entries is given its
-    roster's table (``Roster.ext1_vanishes``).
-    """
-    if ext1_zero is None:
-        def ext1_zero(i, j):
-            return ext1_dim(classes[i], classes[j]) == 0
-    indices = range(len(classes))
-    picked = [m for i, m in enumerate(classes)
-              if not m.is_zero() and all(ext1_zero(i, j) for j in indices)]
+    """Direct sum of the Ext-projective members of a class list, one per class."""
+    picked = basic_summands([m for m in classes
+                             if all(ext1_dim(m, n) == 0 for n in classes)])
     if not picked:
         raise ValueError("class list has no Ext-projective members")
-    return basic_summands(picked)
+    return direct_sum(picked[0].algebra, picked)

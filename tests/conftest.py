@@ -2,57 +2,37 @@
 
 import pytest
 
-from rectilt.algebra import Quiver, Relation, build_algebra
+from rectilt import fixtures
 
 
 @pytest.fixture(scope="session")
 def inner():
     """A2: 1 -> 2."""
-    return build_algebra(Quiver(["1", "2"], [("a", "1", "2")]), [], 10)
+    return fixtures.inner_algebra()
 
 
 @pytest.fixture(scope="session")
 def outer():
     """A3 with beta*alpha = 0: 3 -> 4 -> 5."""
-    q = Quiver(["3", "4", "5"], [("alpha", "3", "4"), ("beta", "4", "5")])
-    return build_algebra(q, [Relation([(1, ("alpha", "beta"))])], 10)
+    return fixtures.outer_algebra()
 
 
 @pytest.fixture(scope="session")
 def glued():
     """The 11-dimensional triangular glue of the two, crossing arrows gamma/epsilon."""
-    q = Quiver(
-        ["1", "2", "3", "4", "5"],
-        [("delta", "1", "2"), ("gamma", "4", "2"), ("epsilon", "3", "1"),
-         ("alpha", "3", "4"), ("beta", "4", "5")],
-    )
-    rels = [
-        Relation([(1, ("alpha", "gamma")), (-1, ("epsilon", "delta"))]),
-        Relation([(1, ("alpha", "beta"))]),
-    ]
-    return build_algebra(q, rels, 10)
+    return fixtures.glued_algebra()
 
 
 @pytest.fixture(scope="session")
 def product_algebra():
     """Disjoint union of the two parts: the trivial (N = 0) split."""
-    q = Quiver(
-        ["1", "2", "3", "4", "5"],
-        [("a", "1", "2"), ("alpha", "3", "4"), ("beta", "4", "5")],
-    )
-    return build_algebra(q, [Relation([(1, ("alpha", "beta"))])], 10)
+    return fixtures.product_algebra()
 
 
 @pytest.fixture(scope="session")
 def mutated_algebra():
     """Product mutated by a crossing arrow whose bimodule is not flat."""
-    q = Quiver(
-        ["1", "2", "3", "4", "5"],
-        [("a", "1", "2"), ("alpha", "3", "4"), ("beta", "4", "5"),
-         ("c", "4", "1")],
-    )
-    rels = [Relation([(1, ("alpha", "beta"))]), Relation([(1, ("alpha", "c"))])]
-    return build_algebra(q, rels, 10)
+    return fixtures.mutated_algebra()
 
 
 @pytest.fixture

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rectilt import fixtures
 from rectilt.algebra import (
     BoundQuiverAlgebra,
     Quiver,
@@ -16,26 +17,9 @@ from rectilt.algebra import (
 from rectilt.errors import CapExceeded, RectiltError, RelationIllFormed
 
 
-def a2():
-    return build_algebra(Quiver(["1", "2"], [("a", "1", "2")]), [], 10)
-
-
-def a3_bound():
-    q = Quiver(["3", "4", "5"], [("alpha", "3", "4"), ("beta", "4", "5")])
-    return build_algebra(q, [Relation([(1, ("alpha", "beta"))])], 10)
-
-
-def glued():
-    q = Quiver(
-        ["1", "2", "3", "4", "5"],
-        [("delta", "1", "2"), ("gamma", "4", "2"), ("epsilon", "3", "1"),
-         ("alpha", "3", "4"), ("beta", "4", "5")],
-    )
-    rels = [
-        Relation([(1, ("alpha", "gamma")), (-1, ("epsilon", "delta"))]),
-        Relation([(1, ("alpha", "beta"))]),
-    ]
-    return build_algebra(q, rels, 10)
+a2 = fixtures.inner_algebra
+a3_bound = fixtures.outer_algebra
+glued = fixtures.glued_algebra
 
 
 def test_a2_dimension_and_basis():

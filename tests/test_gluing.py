@@ -22,7 +22,7 @@ from rectilt.gluing import (
 from rectilt.homology import enumerate_roster
 from rectilt.recollement import i_upper_star, j_shriek, split_context
 from rectilt.rep import (
-    _in_add,
+    _add_pieces,
     _same_classes,
     _unit_rank,
     add_equal,
@@ -37,7 +37,6 @@ from rectilt.rep import (
     zero_rep,
 )
 from rectilt.tilting import (
-    _ext_projective_classes,
     ext_projectives,
     is_tilting,
     partition_roster,
@@ -322,24 +321,21 @@ def test_glue_and_restriction_fall_back_to_decompose(stand_in, ctx, roster, glue
 
 def test_ext_projectives_mismatch_names_its_witness(ctx, roster, monkeypatch):
     spec = GluedPairSpec(ctx, t_inner(ctx), t_outer_case1(ctx))
-    assert "ext_projectives_witness" not in glue_tilting(spec, roster).to_json()
-    real = gluing._ext_projective_classes
-    dropped = []
-    free = by_dims(roster, (0, 1, 0, 0, 0))
-
-    def fewer(*args):
-        projs = real(*args)
-        dropped.append(projs[0])
-        return projs[1:]
-
-    for patched, missing_from in ((fewer, "ext_projectives"),
-                                  (lambda *args: real(*args) + [free], "glued")):
-        monkeypatch.setattr(gluing, "_ext_projective_classes", patched)
+    cert = glue_tilting(spec, roster)
+    assert "ext_projectives_witness" not in cert.to_json()
+    # the glue reads its Ext-projectives off the roster's Ext^1 table
+    real = roster.ext1_vanishes
+    torsion = partition_roster(cert.module, roster).torsion
+    dropped = next(i for i in torsion if all(real(i, j) for j in torsion))
+    extra = next(i for i in torsion if not all(real(i, j) for j in torsion))
+    for patched, named, missing_from in (
+            (lambda i, j: i != dropped and real(i, j), dropped, "ext_projectives"),
+            (lambda i, j: i == extra or real(i, j), extra, "glued")):
+        monkeypatch.setattr(roster, "ext1_vanishes", patched)
         cert = glue_tilting(spec, roster)
         assert not cert.ext_projectives_match and not cert.passed
-        named = dropped[0] if missing_from == "ext_projectives" else free
         assert cert.to_json()["ext_projectives_witness"] == {
-            "class_dims": named.to_json()["dims"], "missing_from": missing_from}
+            "class_dims": roster.modules[named].to_json()["dims"], "missing_from": missing_from}
 
 
 def test_restrict_right_enumerates_each_roster_once(glued, roster, counting):
@@ -407,16 +403,13 @@ def test_table_ext_projectives_equal_fresh_ones(case, ctx, roster, product_algeb
     spec, roster = glue_case(case, ctx, roster, product_algebra)
     cert = glue_tilting(spec, roster)
     picked = partition_roster(cert.module, roster).torsion
-    torsion = [roster.modules[i] for i in picked]
-    table = _ext_projective_classes(
-        torsion, lambda a, b: roster.ext1_vanishes(picked[a], picked[b]))
-    fresh = _ext_projective_classes(torsion)
-    assert [x.to_json() for x in table] == [x.to_json() for x in fresh]
+    table = [roster.modules[i] for i in picked
+             if all(roster.ext1_vanishes(i, j) for j in picked)]
+    fresh = ext_projectives([roster.modules[i] for i in picked])
+    assert direct_sum(roster.algebra, table).to_json() == fresh.to_json()
     assert cert.ext_projectives_match and _same_classes(table, cert.summands)
-    zeros = [zero_rep(roster.algebra)] * 2
-    for ext1_zero in (None, lambda a, b: True):
-        with pytest.raises(ValueError, match="no Ext-projective members"):
-            _ext_projective_classes(zeros, ext1_zero)
+    with pytest.raises(ValueError, match="no Ext-projective members"):
+        ext_projectives([zero_rep(roster.algebra)] * 2)
 
 
 def _outcomes(glued, outer, roster, ts):
@@ -460,10 +453,14 @@ def test_cached_images_die_with_context_and_roster(glued):
 def test_images_do_not_keep_fresh_rosters_alive(glued):
     ctx = split_context(glued, ["3", "4", "5"])
     spec = GluedPairSpec(ctx, t_inner(ctx), t_outer_case1(ctx))
+    refs = []
     for _ in range(10):
-        glue_tilting(spec, enumerate_roster(glued))
+        fresh = enumerate_roster(glued)
+        glue_tilting(spec, fresh)
+        refs.append(weakref.ref(fresh))
+    del fresh
     gc.collect()
-    assert len(ctx._roster_images) <= 1
+    assert all(r() is None for r in refs)
 
 
 def test_second_glue_recomputes_no_roster_data(glued, counting):
@@ -578,7 +575,7 @@ def test_universal_ext_failure_names_its_dimension(ctx, roster, monkeypatch):
     assert cert.to_json()["universal_ext_witness"] == {"ext1_dim": 3}
 
 
-# -- the fit filter of _in_add against the unfiltered multiplicity sum ----------------
+# -- the fit filter of _add_pieces against the unfiltered multiplicity sum ------------
 
 
 def commutative_ladder(n: int):
@@ -629,5 +626,8 @@ def test_in_add_fit_filter_agrees_with_unfiltered_sum(add_cases, data):
     picks = data.draw(st.lists(st.integers(0, len(r.modules) - 1), min_size=1, max_size=4))
     m = direct_sum(r.algebra, [r.modules[i] for i in picks])
     want = sum(multiplicity(t, m) * t.total_dim for t in cls) == m.total_dim
-    assert _in_add(m, cls, units) == want
+    pieces = _add_pieces(m, cls, units.__getitem__)
+    assert (pieces is not None) == want
+    if want:
+        assert pieces == [(t, multiplicity(t, m)) for t in cls if multiplicity(t, m)]
     assert want == all(any(r.modules[i] is x for x in cls) for i in picks)

@@ -1,12 +1,16 @@
 """Rules that hold for the package source as a whole."""
 
 import ast
+import importlib
+import inspect
+import json
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "rectilt"
 PYPROJECT = SRC.parent.parent / "pyproject.toml"
+BENCHMARK = SRC.parent.parent / "BENCHMARK.json"
 
 
 def _names_a_module(package: Path, dotted: str) -> bool:
@@ -50,3 +54,23 @@ def test_relative_imports_name_existing_modules():
             broken += [f"{path.name}:{node.lineno} {'.' * node.level}{name}"
                        for name in modules if not _names_a_module(package, name)]
     assert not broken, broken
+
+
+def test_traced_per_layer_metrics_name_public_functions():
+    # the benchmark's tracer wraps public functions by their defining module;
+    # a metric whose function is gone or private would silently read 0
+    names = [m["name"].split(".") for m in json.loads(BENCHMARK.read_text())["per_layer"]]
+    functions = {(layer, fn) for layer, fn, _ in (n for n in names if len(n) == 3)}
+    assert ("rep", "hom_basis") in functions
+    missing = []
+    for layer, fn in sorted(functions):
+        module = importlib.import_module(f"rectilt.{layer}")
+        if fn == "mat_new":
+            obj = module.Mat.__init__
+        else:
+            obj = getattr(module, fn, None)
+            if fn.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                obj = None
+        if not inspect.isfunction(obj):
+            missing.append(f"{layer}.{fn}")
+    assert not missing, missing

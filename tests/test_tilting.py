@@ -147,8 +147,8 @@ def test_minimal_approximation_matches_reference(glued, monkeypatch):
     built = []
     approximate = tilting_module._left_approximation
 
-    def recording(v, classes, spans):
-        f = approximate(v, classes, spans)
+    def recording(alg, v, classes, spans):
+        f = approximate(alg, v, classes, spans)
         built.append((v, f.target.dim_vector()))
         return f
 
@@ -197,6 +197,18 @@ def test_t3_failure_names_its_vertex(summands, witness):
     assert cert.to_json()["t3_witness"] == witness
     assert cert.t3_sequence_dims is None
     assert "t3_witness" not in is_tilting(regular_module(alg)).to_json()
+
+
+def test_zero_module_names_its_first_vertex():
+    # the general loop: P(1) -> 0 is the first approximation, and it is not injective
+    alg = linear_algebra(3)
+    cert = is_tilting(zero_rep(alg))
+    assert cert.partial_tilting and not cert.tilting
+    assert cert.to_json()["t3_witness"] == {
+        "vertex": "1", "failure": "not_injective", "dims": {"1": 0, "2": 0, "3": 0}}
+    # with no vertex there is nothing to coresolve: the zero module is tilting
+    empty = build_algebra(Quiver([], []), [])
+    assert is_tilting(zero_rep(empty)).tilting
 
 
 # -- trace and membership ---------------------------------------------------
