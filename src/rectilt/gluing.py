@@ -231,13 +231,16 @@ def glue_tilting(spec: GluedPairSpec, roster: Roster | None = None) -> GlueCerti
 
     Hypotheses checked up front: the tensor lift must be exact (Tor
     vanishing on outer simples) and both inputs must be tilting; failures
-    raise HypothesisFailed naming the culprit.  The inputs' certificates
-    are the spec's own, so a spec glued again certifies nothing.
+    raise HypothesisFailed naming the culprit; a Tor failure names the
+    first outer simple with nonzero Tor_1 and its dimension.  The inputs'
+    certificates are the spec's own, so a spec glued again certifies
+    nothing.
     """
     ctx = spec.ctx
-    if not check_exactness(ctx).j_shriek_exact:
-        raise HypothesisFailed("j_!", "Tor_1 of the crossing bimodule is nonzero "
-                                      "on an outer simple")
+    for w, dim in check_exactness(ctx).j_shriek_tor.items():
+        if dim:
+            raise HypothesisFailed("j_!", f"Tor_1 of the crossing bimodule has dimension {dim} "
+                                          f"on the outer simple S({w})")
     inner_cert = spec.inner_certificate
     if not inner_cert.tilting:
         raise HypothesisFailed("inner tilting module",
@@ -269,13 +272,14 @@ def glue_tilting(spec: GluedPairSpec, roster: Roster | None = None) -> GlueCerti
            **dict.fromkeys(part.neither, "neither")}
     witness = None
     top, outer, sub = (_images(ctx, roster, name)[0] for name in ("i*", "j*", "i!"))
-    for i, m in enumerate(roster.modules):
+    mods = roster.modules
+    for i, m in enumerate(mods):
         glued_as = _glued_class(spec, top[i], outer[i], sub[i])
         if glued_as != got[i]:
             witness = {"module_dims": m.to_json()["dims"], "glued": glued_as, "trace": got[i]}
             break
     torsion = part.torsion
-    projs = basic_summands([roster.modules[i] for i in torsion
+    projs = basic_summands([mods[i] for i in torsion
                             if all(roster.ext1_vanishes(i, j) for j in torsion)])
     projs_match = _same_classes(projs, summands)
 
@@ -351,12 +355,13 @@ def _restrict(ctx: RecollementContext, t: Representation, roster: Roster | None,
     if roster is None:
         roster = _roster(ctx.algebra)
     part = partition_roster(t, roster)
+    mods, own_mods = roster.modules, own.modules
     if not left:
         hyp = {"torsion_closed": True, "torsion_witness": None,
                "free_closed": True, "free_witness": None,
                "j_star_lower_exact": True}
         for name, picked in (("free", part.free), ("torsion", part.torsion)):
-            cls = [roster.modules[i] for i in picked]
+            cls = [mods[i] for i in picked]
             for m in cls:
                 back = j_star_lower(ctx, j_star_upper(ctx, m))
                 if _add_pieces(back, cls, lambda k: roster.unit_rank(picked[k])) is None:
@@ -368,8 +373,8 @@ def _restrict(ctx: RecollementContext, t: Representation, roster: Roster | None,
     fclass = _image_classes(ctx, roster, "i!" if left else "j*", part.free)
     induced = partition_roster(module, own)
     equal = (not induced.neither
-             and _same_classes(tclass, [own.modules[i] for i in induced.torsion])
-             and _same_classes(fclass, [own.modules[i] for i in induced.free]))
+             and _same_classes(tclass, [own_mods[i] for i in induced.torsion])
+             and _same_classes(fclass, [own_mods[i] for i in induced.free]))
     return RestrictionResult(side, module, summands, cert, True, hyp, equal,
                              (tclass, fclass))
 

@@ -11,9 +11,12 @@ Tr M walk these steps.
 
 Ext^1 classes are realized through the syzygy: a cocycle is a morphism
 Omega -> N modulo restrictions of P0 -> N, and the extension with that
-class is the pushout of Omega -> P0 along the cocycle.  Tor is computed
-against right modules, which are stored as representations of the
-opposite algebra.
+class is the pushout E of Omega -> P0 along the cocycle.  Its map onto M
+is the unique h with h o [leg_N | leg_P0] = [0 | P0 ->> M], solved vertex
+by vertex.  Maps into or out of a direct sum are written as stacked
+blocks: a map into a sum stacks its components, a map out of one sets
+its legs side by side.  Tor is computed against right modules, which are
+stored as representations of the opposite algebra.
 """
 
 from __future__ import annotations
@@ -35,9 +38,7 @@ from .rep import (
     _linear_combination,
     _add_pieces,
     _unit_rank,
-    cokernel,
     direct_sum,
-    direct_sum_with_maps,
     dual,
     flatten_morphism,
     hom_basis,
@@ -224,18 +225,25 @@ def ext1_dim(m: Representation, n: Representation) -> int:
 
 
 def _pushout_extension(pres: ProjectivePresentation, cocycle: Morphism) -> SES:
-    """0 -> N -> E -> M -> 0 from a cocycle Omega -> N via pushout."""
+    """0 -> N -> E -> M -> 0 from a cocycle Omega -> N via pushout.
+
+    E -> M is the unique h with h o [leg_N | leg_P0] = [0 | surjection]:
+    the two legs side by side are the pushout's projection from N + P0,
+    which is onto, so each vertex's h is one solve.
+    """
     mid, leg_n, leg_p0 = pushout(cocycle, pres.inclusion)
-    # the unique h: mid -> M with h o leg_p0 = surjection, h o leg_n = 0
-    candidates = hom_basis(mid, pres.module)
-    rows = [flatten_morphism(f.compose(leg_p0)) + flatten_morphism(f.compose(leg_n))
-            for f in candidates]
-    want = flatten_morphism(pres.surjection) + flatten_morphism(
-        zero_morphism(cocycle.target, pres.module))
-    sol = solve(Mat.from_rows(rows).transpose(), Mat.column(want)) if rows else None
-    if sol is None:
-        raise RectiltError("extension middle term must map onto the source")
-    return SES(leg_n, _linear_combination(mid, pres.module, sol.col(0), candidates))
+    m = pres.module
+    comps = {}
+    for v in m.algebra.vertices:
+        legs = Mat.hstack([leg_n.components[v], leg_p0.components[v]])
+        want = Mat.hstack([Mat.zeros(m.dims[v], leg_n.source.dims[v]),
+                           pres.surjection.components[v]])
+        sol = solve(legs.transpose(), want.transpose())
+        if sol is None:
+            raise RectiltError("extension middle term must map onto the source")
+        comps[v] = sol.transpose()
+    # h o [leg_N | leg_P0] intertwines and the legs are jointly onto, so h does too
+    return SES(leg_n, Morphism(mid, m, comps, validate=False))
 
 
 def realize_extension(e: ExtSpace, coeffs) -> SES:
@@ -258,11 +266,12 @@ def universal_extension(e: ExtSpace) -> SES:
         # degenerate: the split sequence 0 -> 0 -> M -> M -> 0
         zero = zero_rep(e.source.algebra)
         return SES(zero_morphism(zero, e.source), identity_morphism(e.source))
-    power, injs, _ = direct_sum_with_maps(e.coefficient.algebra, [e.coefficient] * n)
-    combined = zero_morphism(e.presentation.syzygy, power)
-    for inj, f in zip(injs, e.cocycles):
-        combined = combined.add(inj.compose(f))
-    return _pushout_extension(e.presentation, combined)
+    alg = e.coefficient.algebra
+    power = direct_sum(alg, [e.coefficient] * n)
+    # the map into the sum N^n: the cocycles' components stacked
+    combined = {v: Mat.vstack([f.components[v] for f in e.cocycles]) for v in alg.vertices}
+    return _pushout_extension(e.presentation,
+                              Morphism(e.presentation.syzygy, power, combined, validate=False))
 
 
 def is_split(ses: SES) -> bool:
@@ -337,19 +346,11 @@ def tensor_map(nright: Representation, f: Morphism):
 
 def tensor_map_between(nright: Representation, f: Morphism, src_data, tgt_data):
     """``tensor_map`` given ``tensor_dim_data`` of f's source and of its target."""
-    dsrc, psrc, off_src, tot_src = src_data
-    dtgt, ptgt, off_tgt, tot_tgt = tgt_data
-    big = [[Fraction(0)] * tot_src for _ in range(tot_tgt)]
-    for v in f.source.algebra.vertices:
-        nv = nright.dims[v]
-        fv = f.components[v]
-        for p in range(nv):
-            for r in range(fv.rows):
-                for c in range(fv.cols):
-                    if fv.entries[r][c] != 0:
-                        big[off_tgt[v] + p * fv.rows + r][off_src[v] + p * fv.cols + c] \
-                            = fv.entries[r][c]
-    bigmat = Mat(tot_tgt, tot_src, big)
+    dsrc, psrc = src_data[:2]
+    dtgt, ptgt = tgt_data[:2]
+    # on the raw space, a sum of N_v copies of each f.source_v, f acts copy by copy
+    bigmat = Mat.block_diag([f.components[v] for v in f.source.algebra.vertices
+                             for _ in range(nright.dims[v])])
     rhs = (ptgt @ bigmat).transpose()
     sol = solve(psrc.transpose(), rhs)
     if sol is None:
@@ -376,9 +377,10 @@ def transpose(m: Representation) -> Representation:
     Hom(-, A) turns those right multiplications into left multiplications
     between the dual projectives, and Tr M is the cokernel of the map
     R0 -> R1 they make up.  R0 and R1 are sums of opposite projectives,
-    one summand per summand of P0 and of P1.  Summand k of P0 and
-    summand l of P1 give one leg P_op(v_k) -> P_op(u_l), and its
-    components are written into block (l, k) of the map at each vertex.
+    one summand per summand of P0 and of P1.  Summand k of P0 and summand
+    l of P1 give one leg P_op(v_k) -> P_op(u_l); at each vertex the image
+    of summand k of R0 is its legs stacked over l, and Tr M is R1 modulo
+    those images.
     """
     alg = m.algebra
     opp = alg.opposite()
@@ -388,34 +390,22 @@ def transpose(m: Representation) -> Representation:
     if not p1_verts:
         return zero_rep(opp)
     d = pres.inclusion.compose(surj1)  # P1 -> P0
-
-    def summand_offsets(algebra, verts):
-        """Offset of each summand's block inside the stacked vertex spaces."""
-        offs = []
-        running = {v: 0 for v in algebra.vertices}
-        for u in verts:
-            offs.append(dict(running))
-            for w in algebra.vertices:
-                running[w] += len(algebra.paths_between(u, w))
-        return offs
-
-    off0 = summand_offsets(alg, p0_verts)
-    off1 = summand_offsets(alg, p1_verts)
-    r0 = direct_sum(opp, [projective(opp, v) for v in p0_verts])
-    r1 = direct_sum(opp, [projective(opp, u) for u in p1_verts])
-    opp_off0 = summand_offsets(opp, p0_verts)
-    opp_off1 = summand_offsets(opp, p1_verts)
-    grids = {w: [[Fraction(0)] * r0.dims[w] for _ in range(r1.dims[w])]
-             for w in opp.vertices}
-    for l, u in enumerate(p1_verts):
-        # the generator of summand l is the trivial path, first in its block
-        col = d.components[u].col(off1[l][u])
-        for k, v in enumerate(p0_verts):
+    r0_parts = [projective(opp, v) for v in p0_verts]
+    r1_parts = [projective(opp, u) for u in p1_verts]
+    legs = []                                  # legs[l][k]: P_op(v_k) -> P_op(u_l)
+    start = {w: 0 for w in alg.vertices}       # where summand l of P1 starts
+    for u, target in zip(p1_verts, r1_parts):
+        # the generator of summand l is the trivial path, first in its block;
+        # its image at u runs through the blocks of P0's summands in order
+        col = iter(d.components[u].col(start[u]))
+        for w in alg.vertices:
+            start[w] += len(alg.paths_between(u, w))
+        row = []
+        for v, source in zip(p0_verts, r0_parts):
             paths_vu = alg.paths_between(v, u)
-            if not paths_vu:
-                continue
-            coeffs = col[off0[k][u]: off0[k][u] + len(paths_vu)]
-            if all(c == 0 for c in coeffs):
+            coeffs = list(islice(col, len(paths_vu)))
+            if not any(coeffs):
+                row.append(zero_morphism(source, target))
                 continue
             # left multiplication by the element sum coeffs_b * b of e_u A e_v
             # is the op-morphism P_op(v) -> P_op(u) sending the generator to
@@ -423,20 +413,18 @@ def transpose(m: Representation) -> Representation:
             op_list = opp.paths_between(u, v)
             pos_of = {b: q for q, b in enumerate(op_list)}
             vec = [Fraction(0)] * len(op_list)
-            for b_idx, b in enumerate(paths_vu):
+            for coeff, b in zip(coeffs, paths_vu):
                 path = alg.basis[b]
                 rev = Path(alg.quiver.path_target(path), tuple(reversed(path.arrows)))
                 for ob, c in opp.path_class(rev).items():
-                    vec[pos_of[ob]] += coeffs[b_idx] * c
-            leg = hom_from_projective(opp, v, projective(opp, u), vec)
-            for w, block in leg.components.items():
-                r, c = opp_off1[l][w], opp_off0[k][w]
-                for i, row in enumerate(block.entries):
-                    grids[w][r + i][c: c + block.cols] = row
-    total_map = Morphism(r0, r1, {w: Mat(r1.dims[w], r0.dims[w], grid)
-                                  for w, grid in grids.items()}, validate=False)
-    coker, _ = cokernel(total_map)
-    return coker
+                    vec[pos_of[ob]] += coeff * c
+            row.append(hom_from_projective(opp, v, target, vec))
+        legs.append(row)
+    r1 = direct_sum(opp, r1_parts)
+    spans = {w: Mat.hstack([Mat.vstack([row[k].components[w] for row in legs])
+                            for k in range(len(p0_verts))], rows=r1.dims[w])
+             for w in opp.vertices}
+    return quotient_rep(r1, spans)[0]
 
 
 def tau(m: Representation) -> Representation:
@@ -517,10 +505,7 @@ class Roster:
         return _add_pieces(m, self.modules, self.unit_rank)
 
     def to_json(self):
-        return [{"dims": e.module.to_json()["dims"],
-                 "maps": e.module.to_json()["maps"],
-                 "provenance": e.provenance}
-                for e in self.entries]
+        return [{**e.module.to_json(), "provenance": e.provenance} for e in self.entries]
 
 
 def enumerate_roster(algebra: BoundQuiverAlgebra, cap: int = 256) -> Roster:

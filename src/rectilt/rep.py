@@ -177,11 +177,6 @@ class Morphism:
                  for v in self.source.algebra.vertices}
         return Morphism(self.source, self.target, comps, validate=False)
 
-    def scale(self, c) -> "Morphism":
-        return Morphism(self.source, self.target,
-                        {v: m.scale(c) for v, m in self.components.items()},
-                        validate=False)
-
     def is_injective(self) -> bool:
         return all(rank(c) == c.cols for c in self.components.values())
 
@@ -361,6 +356,17 @@ def _trace_pairing(x: Representation, m: Representation):
     return fs, gs, _pairing_matrix(fs, gs)
 
 
+def _end_radical(x: Representation) -> tuple[list[Morphism], Mat]:
+    """The basis of End(x) and, as columns, rad End(x) in it: the kernel of the trace form.
+
+    An End(x) of dimension <= 1 is 0 or Q, whose radical is 0, so no pairing is built.
+    """
+    basis = hom_basis(x, x)
+    if len(basis) <= 1:
+        return basis, Mat.zeros(len(basis), 0)
+    return basis, kernel_basis(_pairing_matrix(basis, basis))
+
+
 # -- constructions ------------------------------------------------------
 
 
@@ -371,29 +377,6 @@ def direct_sum(algebra: BoundQuiverAlgebra, mods) -> Representation:
     maps = {a.name: Mat.block_diag([m.maps[a.name] for m in mods])
             for a in algebra.arrows}
     return Representation(algebra, dims, maps, validate=False)
-
-
-def direct_sum_with_maps(algebra: BoundQuiverAlgebra, mods):
-    """Block-diagonal sum with canonical injections and projections."""
-    mods = list(mods)
-    total = direct_sum(algebra, mods)
-    dims = total.dims
-    injections, projections = [], []
-    for idx, m in enumerate(mods):
-        inj, proj = {}, {}
-        for v in algebra.vertices:
-            before = sum(x.dims[v] for x in mods[:idx])
-            inj_m = Mat.zeros(dims[v], m.dims[v])
-            if m.dims[v]:
-                ent = [list(r) for r in inj_m.entries]
-                for k in range(m.dims[v]):
-                    ent[before + k][k] = Fraction(1)
-                inj_m = Mat(dims[v], m.dims[v], ent)
-            inj[v] = inj_m
-            proj[v] = inj_m.transpose()
-        injections.append(Morphism(m, total, inj, validate=False))
-        projections.append(Morphism(total, m, proj, validate=False))
-    return total, injections, projections
 
 
 def subrep_from_subspaces(m: Representation, spans: dict) -> tuple[Representation, Morphism]:
@@ -453,15 +436,21 @@ def cokernel(f: Morphism) -> tuple[Representation, Morphism]:
 def pushout(f: Morphism, g: Morphism):
     """Pushout of f: W -> N and g: W -> P along the shared source W.
 
-    Returns ``(e, leg_n, leg_p)`` where ``e = (N + P) / {(f w, -g w)}``.
+    Returns ``(e, leg_n, leg_p)``: e is the cokernel of [f; -g]: W -> N + P,
+    and the legs are the column blocks of its projection.
     """
     if f.source != g.source:
         raise ValueError("pushout legs must share their source")
-    alg = f.source.algebra
-    _, (inj_n, inj_p), _ = direct_sum_with_maps(alg, [f.target, g.target])
-    h = inj_n.compose(f).add(inj_p.compose(g).scale(-1))
-    e, proj = cokernel(h)
-    return e, proj.compose(inj_n), proj.compose(inj_p)
+    n, p = f.target, g.target
+    alg = n.algebra
+    spans = {v: Mat.vstack([f.components[v], -g.components[v]]) for v in alg.vertices}
+    e, proj = quotient_rep(direct_sum(alg, [n, p]), spans)
+    leg_n = {v: c.submatrix(range(c.rows), range(n.dims[v]))
+             for v, c in proj.components.items()}
+    leg_p = {v: c.submatrix(range(c.rows), range(n.dims[v], c.cols))
+             for v, c in proj.components.items()}
+    # the projection intertwines, so each of its column blocks does
+    return e, Morphism(n, e, leg_n, validate=False), Morphism(p, e, leg_p, validate=False)
 
 
 # -- standard modules ---------------------------------------------------
@@ -728,10 +717,7 @@ def _split_once(m: Representation):
     indecomposable without the pairing.  Raises PossibleDivisionAlgebra
     when End/rad has dimension > 1 but no candidate splits.
     """
-    basis = hom_basis(m, m)
-    if len(basis) <= 1:
-        return None
-    rad = kernel_basis(_pairing_matrix(basis, basis))
+    basis, rad = _end_radical(m)
     pivots = set(rref(rad.transpose())[1]) if rad.cols else set()
     comp = [f for i, f in enumerate(basis) if i not in pivots]
     if len(comp) <= 1:
@@ -786,9 +772,9 @@ def multiplicity(x: Representation, m: Representation) -> int:
 
 
 def _unit_rank(x: Representation) -> int:
-    """rank P(x, x) = dim End(x)/rad for x indecomposable."""
-    ends = hom_basis(x, x)
-    return rank(_pairing_matrix(ends, ends))
+    """rank P(x, x) = dim End(x) - dim rad (rank-nullity) = dim End(x)/rad for x indecomposable."""
+    basis, rad = _end_radical(x)
+    return len(basis) - rad.cols
 
 
 def _multiplicity(x: Representation, m: Representation, unit: int) -> int:

@@ -25,14 +25,14 @@ from dataclasses import dataclass, field
 
 from .errors import RectiltError
 from .homology import Roster, ext1_dim, proj_dim
-from .linalg import Mat, kernel_basis, rank, rref
+from .linalg import Mat, rank, rref
 from .rep import (
     Morphism,
     Representation,
     SES,
     _add_pieces,
+    _end_radical,
     _linear_combination,
-    _pairing_matrix,
     basic_summands,
     cokernel,
     decompose,
@@ -173,10 +173,8 @@ def _class_radicals(classes):
     """
     units, spans = [], []
     for i, x in enumerate(classes):
-        ends = hom_basis(x, x)
-        gram = _pairing_matrix(ends, ends)
-        units.append(rank(gram))
-        rad = kernel_basis(gram)
+        ends, rad = _end_radical(x)
+        units.append(len(ends) - rad.cols)
         radical = [_linear_combination(x, x, rad.col(c), ends) for c in range(rad.cols)]
         radical += [g for j, y in enumerate(classes) if j != i for g in hom_basis(y, x)]
         spans.append({v: Mat.hstack([g.components[v] for g in radical], rows=x.dims[v])

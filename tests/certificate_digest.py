@@ -1,0 +1,80 @@
+"""Print the SHA-256 digests that pin the benchmark's certificates byte for byte.
+
+Usage, from the repository root:
+
+    python tests/certificate_digest.py
+
+The digests run over 156 verdicts: two units each of paper_cases (seeds
+0 and 3), tilting_type_a (0 and 5) and ar_roster (0 and 1), built by
+``perfbench/workloads.py``.  Each verdict contributes its result's
+``to_json``: a certificate, a restriction result (with the dims of its
+``restricted_classes``), a roster, or the culprit of an expected
+``HypothesisFailed``.  The first digest also covers each certificate's
+``module.to_json()``; the second leaves it out, for a change that alters
+a module's basis on purpose.  Two checkouts whose outputs agree print the
+same two lines.  pytest does not collect this file.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import itertools
+import json
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import workloads  # noqa: E402
+
+RUNS = (("paper_cases", (0, 3)), ("tilting_type_a", (0, 5)), ("ar_roster", (0, 1)))
+UNITS = 2
+
+
+def _dims(mods):
+    return [m.to_json()["dims"] for m in mods]
+
+
+def _record(result, modules: bool):
+    """The JSON of one verdict's result; ``modules`` adds each certificate's module."""
+    if isinstance(result, tuple):
+        return [_record(r, modules) for r in result]
+    if isinstance(result, dict):
+        return result
+    out = {"json": result.to_json()}
+    if getattr(result, "restricted_classes", None) is not None:
+        out["restricted_classes"] = [_dims(c) for c in result.restricted_classes]
+    if modules and hasattr(result, "module"):
+        out["module"] = result.module.to_json()
+    return out
+
+
+def verdict_records(modules: bool) -> list:
+    """One record per verdict, in run order."""
+    records = []
+    for name, seeds in RUNS:
+        for seed in seeds:
+            workload = workloads.WORKLOADS[name](seed)
+            for unit in itertools.islice(workload.units(), UNITS):
+                for verdict in unit:
+                    _, _, ok, result = workloads.run_verdict(verdict)
+                    if not ok:
+                        raise SystemExit(f"{name} seed {seed}: {verdict.kind} failed its check")
+                    records.append([verdict.kind, _record(result, modules)])
+    return records
+
+
+def digest(records) -> str:
+    return hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
+
+
+def main():
+    with_modules = verdict_records(True)
+    print(f"{len(with_modules)} verdicts")
+    print(f"with modules:    {digest(with_modules)}")
+    print(f"without modules: {digest(verdict_records(False))}")
+
+
+if __name__ == "__main__":
+    main()

@@ -19,21 +19,27 @@ from rectilt.gluing import (
     restrict_left,
     restrict_right,
 )
-from rectilt.homology import enumerate_roster
+from rectilt.homology import enumerate_roster, ext1
+from rectilt.linalg import Mat, solve
 from rectilt.recollement import i_upper_star, j_shriek, split_context
 from rectilt.rep import (
     _add_pieces,
+    _linear_combination,
     _same_classes,
     _unit_rank,
     add_equal,
     decompose,
     direct_sum,
+    flatten_morphism,
+    hom_basis,
     injective,
     multiplicity,
     projective,
+    pushout,
     regular_module,
     simple,
     summand_classes,
+    zero_morphism,
     zero_rep,
 )
 from rectilt.tilting import (
@@ -239,7 +245,9 @@ def test_glue_rejects_nonflat_bimodule(mutated_algebra, counting):
     with pytest.raises(HypothesisFailed) as err:
         glue_tilting(GluedPairSpec(ctx, t_in, t_out))
     assert err.value.culprit == "j_!"
-    assert err.value.detail == "Tor_1 of the crossing bimodule is nonzero on an outer simple"
+    # the first outer simple with nonzero Tor_1, read off the exactness report
+    assert err.value.detail == ("Tor_1 of the crossing bimodule has dimension 2 "
+                                "on the outer simple S(3)")
     # the i^* family is never built for a glue
     assert len(simples) == 3 and all(s.algebra is out for s in simples)
 
@@ -377,6 +385,62 @@ def test_glue_classes_agree_with_decomposing_the_lift(case, ctx, roster, product
     torsion = [roster.modules[i] for i in partition_roster(cert.module, roster).torsion]
     assert cert.ext_projectives_match == add_equal([ext_projectives(torsion)], [cert.module])
     assert cert.passed
+
+
+# -- the extension's map onto M, against a solve over Hom(E, M) -------------------------
+
+
+def extension_projection_reference(pres, cocycle):
+    """E -> M solved over hom_basis(E, M): h o leg_P0 = surjection and h o leg_N = 0."""
+    mid, leg_n, leg_p0 = pushout(cocycle, pres.inclusion)
+    candidates = hom_basis(mid, pres.module)
+    rows = [flatten_morphism(f.compose(leg_p0)) + flatten_morphism(f.compose(leg_n))
+            for f in candidates]
+    want = flatten_morphism(pres.surjection) + flatten_morphism(
+        zero_morphism(cocycle.target, pres.module))
+    sol = solve(Mat.from_rows(rows).transpose(), Mat.column(want))
+    assert sol is not None
+    return _linear_combination(mid, pres.module, sol.col(0), candidates)
+
+
+@pytest.fixture
+def extensions(monkeypatch):
+    """Every (presentation, cocycle, sequence) that homology's pushout extension builds."""
+    seen = []
+    real = homology._pushout_extension
+
+    def record(pres, cocycle):
+        ses = real(pres, cocycle)
+        seen.append((pres, cocycle, ses))
+        return ses
+
+    monkeypatch.setattr(homology, "_pushout_extension", record)
+    return seen
+
+
+@pytest.mark.parametrize("case", ["case1", "case2", "product"])
+def test_glue_extension_maps_onto_m_as_the_hom_solve_does(case, ctx, roster, product_algebra,
+                                                          extensions):
+    spec, roster = glue_case(case, ctx, roster, product_algebra)
+    cert = glue_tilting(spec, roster)
+    # the product's Ext^1 is zero: its universal extension is split and built without a pushout
+    assert (cert.ext_dimension == 0) == (case == "product")
+    assert len(extensions) == (0 if case == "product" else 1)
+    for pres, cocycle, ses in extensions:
+        assert ses.project.to_json() == extension_projection_reference(pres, cocycle).to_json()
+
+
+def test_realized_extension_maps_onto_m_as_the_hom_solve_does(inner, outer, extensions):
+    # the realize_extension cases of test_homology.py
+    cases = [(inner, "1", "2", [1]), (inner, "1", "2", [0]),
+             (outer, "3", "4", [1]), (outer, "4", "5", [1])]
+    for alg, v, w, coeffs in cases:
+        e = ext1(simple(alg, v), simple(alg, w))
+        assert e.dimension == 1
+        homology.realize_extension(e, coeffs)
+    assert len(extensions) == len(cases)
+    for pres, cocycle, ses in extensions:
+        assert ses.project.to_json() == extension_projection_reference(pres, cocycle).to_json()
 
 
 # -- roster data computed once: the Ext^1 table and the functor images ----------------

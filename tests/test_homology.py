@@ -26,6 +26,7 @@ from rectilt.homology import (
     tau,
     tau_inverse,
     tensor_dim,
+    tensor_dim_data,
     tensor_map,
     top,
     tor1_right,
@@ -40,10 +41,10 @@ from rectilt.rep import (
     cokernel,
     decompose,
     direct_sum,
-    direct_sum_with_maps,
     dual,
     hom_dim,
     hom_from_projective,
+    identity_morphism,
     injective,
     is_isomorphic,
     kernel,
@@ -168,6 +169,23 @@ def test_ext1_count_matches_realized_nonsplit_count(outer):
             assert not is_split(realize_extension(e, [Fraction(1)]))
 
 
+def test_universal_extension_matches_the_sum_of_injected_cocycles(inner):
+    # Ext^1(S(1), S(2)^2) is 2-dimensional, so the universal extension stacks two cocycles
+    power = direct_sum(inner, [simple(inner, "2")] * 2)
+    e = ext1(simple(inner, "1"), power)
+    assert e.dimension == 2
+    big, injs, _ = canonical_maps(inner, [power] * 2)
+    combined = zero_morphism(e.presentation.syzygy, big)
+    for inj, f in zip(injs, e.cocycles):
+        combined = combined.add(inj.compose(f))
+    ref = homology_module._pushout_extension(e.presentation, combined)
+    got = universal_extension(e)
+    assert got.left.to_json() == big.to_json()
+    assert got.inject.to_json() == ref.inject.to_json()
+    assert got.project.to_json() == ref.project.to_json()
+    assert got.middle.to_json() == ref.middle.to_json()
+
+
 # -- ext_k --------------------------------------------------------------------
 
 def test_ext_k_zero_equals_hom(outer):
@@ -207,6 +225,32 @@ def test_tensor_map_check_is_an_error_not_an_assert(outer, monkeypatch):
     monkeypatch.setattr(homology_module, "solve", lambda mat, rhs: None)
     with pytest.raises(RectiltError, match="does not descend"):
         tensor_map(nright, pres.inclusion)
+
+
+def tensor_map_reference(nright, f):
+    """N (x) f written entry by entry into the raw spaces, then pushed to the quotients."""
+    dsrc, psrc, off_src, tot_src = tensor_dim_data(nright, f.source)
+    dtgt, ptgt, off_tgt, tot_tgt = tensor_dim_data(nright, f.target)
+    big = [[0] * tot_src for _ in range(tot_tgt)]
+    for v in f.source.algebra.vertices:
+        fv = f.components[v]
+        for p in range(nright.dims[v]):
+            for r in range(fv.rows):
+                for c in range(fv.cols):
+                    big[off_tgt[v] + p * fv.rows + r][off_src[v] + p * fv.cols + c] = fv[r, c]
+    sol = solve(psrc.transpose(), (ptgt @ Mat(tot_tgt, tot_src, big)).transpose())
+    return dsrc, dtgt, sol.transpose()
+
+
+def test_tensor_map_matches_the_entrywise_assembly(glued, product_algebra, mutated_algebra):
+    for alg in [glued, product_algebra, mutated_algebra]:
+        ctx = split_context(alg, ["3", "4", "5"])
+        nright, out = bimodule_right(ctx), ctx.outer_algebra
+        for m in ([projective(out, v) for v in out.vertices]
+                  + [simple(out, v) for v in out.vertices]):
+            pres = min_presentation(m)
+            for f in (pres.surjection, pres.inclusion, identity_morphism(m)):
+                assert tensor_map(nright, f) == tensor_map_reference(nright, f)
 
 
 def test_tor1_of_right_projective_vanishes(outer):
@@ -308,6 +352,23 @@ def hom_from_projective_reference(algebra, v, m, vec):
     return Morphism(projective(algebra, v), m, comps)
 
 
+def canonical_maps(algebra, mods):
+    """The direct sum of mods with its canonical injections and projections."""
+    total = direct_sum(algebra, mods)
+    injections, projections = [], []
+    before = {v: 0 for v in algebra.vertices}
+    for m in mods:
+        inj = {}
+        for v in algebra.vertices:
+            inj[v] = Mat(total.dims[v], m.dims[v],
+                         [[1 if r == before[v] + c else 0 for c in range(m.dims[v])]
+                          for r in range(total.dims[v])])
+            before[v] += m.dims[v]
+        injections.append(Morphism(m, total, inj))
+        projections.append(Morphism(total, m, {v: c.transpose() for v, c in inj.items()}))
+    return total, injections, projections
+
+
 def transpose_reference(m):
     """Tr M with the presentation map summed from inj_l o leg o proj_k at full size."""
     alg = m.algebra
@@ -327,8 +388,8 @@ def transpose_reference(m):
         return offs
 
     off0, off1 = offsets(p0_verts), offsets(p1_verts)
-    r0, _, projs0 = direct_sum_with_maps(opp, [projective(opp, v) for v in p0_verts])
-    r1, injs1, _ = direct_sum_with_maps(opp, [projective(opp, u) for u in p1_verts])
+    r0, _, projs0 = canonical_maps(opp, [projective(opp, v) for v in p0_verts])
+    r1, injs1, _ = canonical_maps(opp, [projective(opp, u) for u in p1_verts])
     total = zero_morphism(r0, r1)
     for l, u in enumerate(p1_verts):
         col = second_map.components[u].col(off1[l][u])

@@ -27,7 +27,6 @@ from rectilt.rep import (
     decompose,
     direct_sum,
     dual,
-    direct_sum_with_maps,
     cokernel,
     flatten_morphism,
     hom_basis,
@@ -120,13 +119,6 @@ def test_direct_sum_dims(inner, outer):
     assert t2.dim_vector() == (1, 2, 2)
 
 
-def test_direct_sum_canonical_maps(inner):
-    mods = [projective(inner, "1"), simple(inner, "2")]
-    total, injs, projs = direct_sum_with_maps(inner, mods)
-    for inj, proj, m in zip(injs, projs, mods):
-        assert proj.compose(inj) == identity_morphism(m)
-
-
 # -- kernel / cokernel / image -------------------------------------------
 
 def test_kernel_of_identity_is_zero(inner):
@@ -179,6 +171,17 @@ def test_pushout_of_zero_maps_is_sum(inner):
     p = simple(inner, "1")
     e, _, _ = pushout(zero_morphism(w, n), zero_morphism(w, p))
     assert e.dim_vector() == (2, 1)
+
+
+def test_pushout_square_commutes_and_its_legs_cover(outer):
+    # omega(S(3)) -> P(3) pushed out along a nonzero map omega(S(3)) -> S(4)
+    iota = kernel(projective_cover(simple(outer, "3"))[1])[1]
+    g = hom_basis(iota.source, simple(outer, "4"))[0]
+    e, leg_n, leg_p = pushout(iota, g)
+    assert leg_n.compose(iota) == leg_p.compose(g)
+    assert all(rank(Mat.hstack([leg_n.components[v], leg_p.components[v]])) == e.dims[v]
+               for v in outer.vertices)
+    assert e.dim_vector() == (1, 1, 0)
 
 
 def test_pushout_realizes_nonsplit_extension(inner):
