@@ -3,8 +3,8 @@
 The forward direction builds one universal extension of the lifted inner
 tilting module by copies of the tensor-lifted outer one, and certifies
 every conclusion: pd <= 1, self-orthogonality, the coresolution, the
-partition identity between the glued membership predicates and the trace
-partition of the result, and the Ext-projectivity identity.  The summand
+partition identity between the glued membership predicates and the
+torsion partition of the result, and the Ext-projectivity identity.  The summand
 classes of the glued module are assembled, not rediscovered: j_! is
 additive and fully faithful (j^* j_! = id), so it sends the summand
 classes of the outer tilting module to pairwise non-isomorphic
@@ -27,24 +27,35 @@ the object it belongs to:
 
 - a whole-algebra roster that is not passed in, and the roster of each
   part, once per algebra object (``_roster``);
-- on the roster, everything derived from its entries: Ext^1 between two
-  entries (``Roster.ext1_vanishes``), read by the Ext-projectivity
-  check; rank P(X, X) of each entry X (``Roster.unit_rank``), read by
-  ``Roster.decompose`` and by the restriction's closure check; and i^*X,
-  j^*X and i^!X of each entry X with the summand classes of these
-  images, per context (``_images``), read by the partition check and by
-  the restricted classes;
-- the tilting certificates of a glued pair's inputs T' and T'', on the
-  frozen ``GluedPairSpec`` (``inner_certificate``, ``outer_certificate``),
-  read by every glue of that spec.
+- on the roster, everything derived from its entries:
+  - dim Ext^1 between two entries (``Roster.ext1_dim``), pd of each entry
+    (``Roster.pd``) and whether Hom between two entries vanishes
+    (``Roster.hom_vanishes``).  The glued module and the restricted one
+    are basic sums of roster entries, located by ``Roster.index``, so
+    their (T1) and (T2), and their torsion pairs once they are certified
+    tilting, are read off these tables (``_certify_tilting``,
+    ``partition_roster``).  The Ext-projectivity check reads the Ext^1
+    table too;
+  - rank P(X, X) of each entry X (``Roster.unit_rank``), read by
+    ``Roster.decompose`` and by the restriction's closure check;
+  - i^*X, j^*X and i^!X of each entry X with the summand classes of these
+    images, per context (``_images``), read by the partition check and by
+    the restricted classes;
+- on the frozen ``GluedPairSpec``, the tilting certificates of a glued
+  pair's inputs T' and T'' (``inner_certificate``, ``outer_certificate``),
+  read by every glue of that spec, and the roster indices of the lifted
+  outer classes j_!X (``lifted_outer_indices``).
 
-Only the Gen/perp membership against T is tested on every verdict.  The
-exactness report is lazy and not held: a glue computes only the j_! Tor
-family, and the left restriction only the i^* one.
+Only the Gen/perp membership of the roster against the glued pair, and
+the trace partition of the caller's T in a restriction, are computed on
+every verdict.  The exactness report is lazy and not held: a glue
+computes only the j_! Tor family, and the left restriction only the i^*
+one.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -156,6 +167,19 @@ class GluedPairSpec:
     def outer_certificate(self) -> TiltingCertificate:
         return is_tilting(self.outer_tilting)
 
+    def lifted_outer_indices(self, roster: Roster, lifted: list) -> list:
+        """``roster.index`` of each module in ``lifted``, held on the spec for the last roster.
+
+        ``lifted`` holds j_!X for each summand class X of the outer tilting
+        module, in the order of ``outer_certificate.classes``; the roster is
+        held by weak reference.
+        """
+        held = self.__dict__.get("_lifted_at")
+        if held is None or held[0]() is not roster:
+            held = (weakref.ref(roster), [roster.index(y) for y in lifted])
+            self.__dict__["_lifted_at"] = held
+        return held[1]
+
 
 def glued_membership(spec: GluedPairSpec, m: Representation) -> str:
     """Classify a module against the glued pair: torsion, free or neither.
@@ -262,12 +286,14 @@ def glue_tilting(spec: GluedPairSpec, roster: Roster | None = None) -> GlueCerti
     universal_dim = ext1_dim(middle, lifted_outer)
     universal_ok = universal_dim == 0
 
-    summands = basic_summands([j_shriek(ctx, x) for x in outer_cert.classes]
-                              + [p for p, _ in _pieces(roster, middle)])
+    lifted = [j_shriek(ctx, x) for x in outer_cert.classes]
+    summands = basic_summands(lifted + [p for p, _ in _pieces(roster, middle)])
     glued = direct_sum(ctx.algebra, summands)
+    known = dict(zip(map(id, lifted), spec.lifted_outer_indices(roster, lifted)))
+    indices = [known[id(x)] if id(x) in known else roster.index(x) for x in summands]
 
-    tilt_cert = _certify_tilting(glued, summands)
-    part = partition_roster(glued, roster)
+    tilt_cert = _certify_tilting(glued, summands, roster, indices)
+    part = partition_roster(glued, roster, tilt_cert)
     got = {**dict.fromkeys(part.torsion, "torsion"), **dict.fromkeys(part.free, "free"),
            **dict.fromkeys(part.neither, "neither")}
     witness = None
@@ -351,7 +377,7 @@ def _restrict(ctx: RecollementContext, t: Representation, roster: Roster | None,
     own = _roster(alg)
     summands = [p for p, _ in _pieces(own, image)]
     module = direct_sum(alg, summands)
-    cert = _certify_tilting(module, summands)
+    cert = _certify_tilting(module, summands, own, [own.index(x) for x in summands])
     if roster is None:
         roster = _roster(ctx.algebra)
     part = partition_roster(t, roster)
@@ -371,7 +397,7 @@ def _restrict(ctx: RecollementContext, t: Representation, roster: Roster | None,
         hyp["holds"] = hyp["torsion_closed"] and hyp["free_closed"]
     tclass = _image_classes(ctx, roster, "i*" if left else "j*", part.torsion)
     fclass = _image_classes(ctx, roster, "i!" if left else "j*", part.free)
-    induced = partition_roster(module, own)
+    induced = partition_roster(module, own, cert)
     equal = (not induced.neither
              and _same_classes(tclass, [own_mods[i] for i in induced.torsion])
              and _same_classes(fclass, [own_mods[i] for i in induced.free]))

@@ -459,37 +459,80 @@ class Roster:
 
     Data derived from the entries alone is filled on first use and held
     here, for the life of the roster, however many modules are checked
-    against it:
+    against it.  The tables hold only ints and bools:
 
-    - ``ext1_vanishes``: whether Ext^1 vanishes, per ordered pair of entries;
-    - ``unit_rank``: rank P(X, X) per entry, which ``decompose`` reads;
-    - ``_images``: the entries' images under a recollement functor and
-      the summand classes of those images, keyed by (context, functor
-      name) and filled by ``gluing``; a context compares by identity.
+    - ``ext1_dim``: dim Ext^1 per ordered pair of entries, and
+      ``ext1_vanishes``, whether it is zero;
+    - ``pd``: the projective dimension per entry;
+    - ``hom_vanishes``: whether Hom vanishes, per ordered pair of entries;
+    - ``unit_rank``: rank P(X, X) per entry, which ``decompose`` reads.
+
+    ``index`` finds a module's entry through a map from dimension vectors
+    to entry indices, also filled on first use.  ``_images`` holds the
+    entries' images under a recollement functor and the summand classes
+    of those images, keyed by (context, functor name) and filled by
+    ``gluing``; a context compares by identity.
 
     None of it is compared or serialized.
     """
     algebra: BoundQuiverAlgebra
     entries: list[RosterEntry]
     _ext1: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _pd: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _hom0: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _unit: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _at_dims: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _images: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def modules(self) -> list[Representation]:
         return [e.module for e in self.entries]
 
+    def ext1_dim(self, i: int, j: int) -> int:
+        """dim Ext^1(X_i, X_j) for the entries X_i and X_j."""
+        if (i, j) not in self._ext1:
+            self._ext1[i, j] = ext1_dim(self.entries[i].module, self.entries[j].module)
+        return self._ext1[i, j]
+
     def ext1_vanishes(self, i: int, j: int) -> bool:
         """Whether Ext^1(X_i, X_j) = 0 for the entries X_i and X_j."""
-        if (i, j) not in self._ext1:
-            self._ext1[i, j] = ext1_dim(self.entries[i].module, self.entries[j].module) == 0
-        return self._ext1[i, j]
+        return self.ext1_dim(i, j) == 0
+
+    def pd(self, i: int) -> int:
+        """The projective dimension of the entry X_i."""
+        if i not in self._pd:
+            self._pd[i] = proj_dim(self.entries[i].module)
+        return self._pd[i]
+
+    def hom_vanishes(self, i: int, j: int) -> bool:
+        """Whether Hom(X_i, X_j) = 0 for the entries X_i and X_j."""
+        if (i, j) not in self._hom0:
+            self._hom0[i, j] = not hom_basis(self.entries[i].module, self.entries[j].module)
+        return self._hom0[i, j]
 
     def unit_rank(self, i: int) -> int:
         """rank P(X_i, X_i) = dim End(X_i)/rad for the entry X_i."""
         if i not in self._unit:
             self._unit[i] = _unit_rank(self.entries[i].module)
         return self._unit[i]
+
+    def index(self, m: Representation) -> int | None:
+        """The index of the entry isomorphic to m, or None if there is none.
+
+        Only the entries of m's dimension vector are candidates: an entry
+        that is m itself is found first, and ``same_class`` runs only when
+        none is.  A module over another algebra gives None.
+        """
+        if m.algebra is not self.algebra:
+            return None
+        if not self._at_dims:
+            for i, e in enumerate(self.entries):
+                self._at_dims.setdefault(e.module.dim_vector(), []).append(i)
+        candidates = self._at_dims.get(m.dim_vector(), ())
+        for i in candidates:
+            if self.entries[i].module is m:
+                return i
+        return next((i for i in candidates if same_class(self.entries[i].module, m)), None)
 
     def decompose(self, m: Representation) -> list[tuple[Representation, int]] | None:
         """``rep.decompose(m)`` read off the roster, or None if the roster does not account for m.

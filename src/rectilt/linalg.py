@@ -44,6 +44,17 @@ def parse_fraction(s) -> Fraction:
     return Fraction(s)
 
 
+def _exact(x) -> Fraction:
+    """``Fraction(x)`` for an entry that is not one yet; a float is refused.
+
+    ``Fraction(0.1)`` is the binary value 3602879701896397/36028797018963968,
+    not 1/10, so a float entry would silently change the matrix.
+    """
+    if isinstance(x, float):
+        raise TypeError(f"matrix entries must be exact, not the float {x!r}")
+    return Fraction(x)
+
+
 class Mat:
     """An immutable rows x cols matrix of Fractions.
 
@@ -56,7 +67,7 @@ class Mat:
     def __init__(self, rows: int, cols: int, entries):
         if rows < 0 or cols < 0:
             raise ValueError("negative matrix dimensions")
-        entries = tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in row)
+        entries = tuple(tuple(x if type(x) is Fraction else _exact(x) for x in row)
                         for row in entries)
         if len(entries) != rows or any(len(r) != cols for r in entries):
             raise ValueError(f"entry grid does not match shape {rows}x{cols}")

@@ -19,7 +19,7 @@ from rectilt.gluing import (
     restrict_left,
     restrict_right,
 )
-from rectilt.homology import enumerate_roster, ext1
+from rectilt.homology import enumerate_roster, ext1, ext1_dim, proj_dim
 from rectilt.linalg import Mat, solve
 from rectilt.recollement import i_upper_star, j_shriek, split_context
 from rectilt.rep import (
@@ -531,9 +531,11 @@ def test_second_glue_recomputes_no_roster_data(glued, counting):
     ctx = split_context(glued, ["3", "4", "5"])
     shared = enumerate_roster(glued)
     entries = {id(m) for m in shared.modules}
-    # ext1_dim(X, Y) with X and Y roster entries, i_upper_star(ctx, X) with X one
+    # ext1_dim(X, Y), proj_dim(X), hom_basis(X, Y) and i_upper_star(ctx, X), X and Y entries
     calls = [(name, counting(module, name, picked))
              for module, name, picked in ((homology, "ext1_dim", slice(0, 2)),
+                                          (homology, "proj_dim", slice(0, 1)),
+                                          (homology, "hom_basis", slice(0, 2)),
                                           (tilting, "ext1_dim", slice(0, 2)),
                                           (gluing, "ext1_dim", slice(0, 2)),
                                           (recollement, "i_upper_star", slice(1, 2)),
@@ -545,11 +547,44 @@ def test_second_glue_recomputes_no_roster_data(glued, counting):
 
     spec = GluedPairSpec(ctx, t_inner(ctx), t_outer_case1(ctx))
     first = glue_tilting(spec, shared)
-    assert on_roster() == {"ext1_dim", "i_upper_star"}
+    assert on_roster() == {"ext1_dim", "proj_dim", "hom_basis", "i_upper_star"}
     for _, seen in calls:
         seen.clear()
     assert glue_tilting(spec, shared).to_json() == first.to_json()
     assert on_roster() == set()
+
+
+def test_roster_tables_hold_only_ints_and_bools(glued):
+    ctx = split_context(glued, ["3", "4", "5"])
+    shared = enumerate_roster(glued)
+    assert glue_tilting(GluedPairSpec(ctx, t_inner(ctx), t_outer_case1(ctx)), shared).passed
+    tables = (shared._ext1, shared._pd, shared._hom0, shared._unit)
+    assert all(tables)
+    for table in tables:
+        for key, value in table.items():
+            assert type(value) in (int, bool), (key, value)
+            assert all(type(i) is int for i in (key if type(key) is tuple else (key,)))
+
+
+def test_paper_case_tables_agree_with_the_sums(ctx, roster, glued, product_algebra):
+    # the tilting certificates of the paper_cases verdicts: glues, restrictions, product
+    certs = [glue_tilting(glue_case(case, ctx, roster, product_algebra)[0], roster).tilting
+             for case in ("case1", "case2")]
+    certs += [restrict_right(ctx, t, roster).tilting
+              for t in (t_case3(roster, glued), t_case4(roster, glued))]
+    spec, _ = glue_case("product", ctx, roster, product_algebra)
+    glued_product = glue_tilting(spec)
+    certs += [glued_product.tilting, restrict_left(spec.ctx, glued_product.module).tilting]
+    assert len(certs) == 6
+    for cert in certs:
+        t, on = cert.module, cert.roster
+        # (T1) and (T2) were read off the tables of the roster that holds t's summands
+        assert on is not None and len(cert.indices) == len(cert.classes)
+        assert all(rep.same_class(on.modules[i], x) for i, x in zip(cert.indices, cert.classes))
+        assert cert.tilting and cert.pd == proj_dim(t) and cert.ext1_self == ext1_dim(t, t)
+        table, traced = partition_roster(t, on, cert), partition_roster(t, on)
+        assert (table.torsion, table.free, table.neither) == (
+            traced.torsion, traced.free, traced.neither)
 
 
 # -- the inputs' certificates on the spec, one Tor_1 family per reader ------------------

@@ -551,7 +551,20 @@ def classifier_rosters(glued, product_algebra, mutated_algebra):
 
 
 def test_enumerate_roster_computes_no_unit_rank(glued):
-    assert enumerate_roster(glued)._unit == {}
+    roster = enumerate_roster(glued)
+    # no table is filled before it is read: unit ranks, Ext^1, pd, Hom vanishing, the index
+    assert roster._unit == roster._ext1 == roster._pd == roster._hom0 == roster._at_dims == {}
+
+
+def test_roster_index_finds_each_entry_and_its_copies(classifier_rosters):
+    for at, roster in enumerate(classifier_rosters):
+        alg, mods = roster.algebra, roster.modules
+        for i, m in enumerate(mods):
+            assert roster.index(m) == i
+            copy = direct_sum(alg, [m])
+            assert copy is not m and roster.index(copy) == i    # found by same_class
+        assert roster.index(direct_sum(alg, mods[:2])) is None
+        assert classifier_rosters[(at + 1) % len(classifier_rosters)].index(mods[0]) is None
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)

@@ -230,6 +230,16 @@ def test_public_constructor_coerces_and_checks_shape():
         Mat.identity(-1)
 
 
+def test_public_constructor_rejects_float_entries():
+    # Fraction(0.1) would store 3602879701896397/36028797018963968, not 1/10
+    for grid in ([[0.1]], [[1, 0.5]], [[Fraction(1, 2)], [2.0]]):
+        with pytest.raises(TypeError, match="float"):
+            Mat(len(grid), len(grid[0]), grid)
+    with pytest.raises(TypeError, match="float"):
+        Mat.from_rows([[0, 0.25]])
+    assert Mat(1, 2, [["0.1", Fraction(1, 10)]]).entries == ((Fraction(1, 10),) * 2,)
+
+
 # -- differential test against textbook Fraction elimination ---------------
 
 def _naive_rref(rows, ncols):

@@ -8,7 +8,7 @@ import pytest
 from rectilt import tilting as tilting_module
 from rectilt.algebra import Quiver, build_algebra
 from rectilt.errors import RectiltError
-from rectilt.homology import enumerate_roster, tau_inverse
+from rectilt.homology import enumerate_roster, ext1_dim, proj_dim, tau_inverse
 from rectilt.linalg import Mat
 from rectilt.rep import (
     Morphism,
@@ -349,6 +349,62 @@ def test_torsion_decompose_check_is_an_error_not_an_assert(inner):
     t = direct_sum(inner, [simple(inner, "1"), simple(inner, "2")])
     with pytest.raises(RectiltError, match="T-perp"):
         torsion_decompose(t, projective(inner, "1"))
+
+
+# -- (T1), (T2) and the partition read off the roster tables ---------------------
+
+def _parts(part):
+    return part.torsion, part.free, part.neither
+
+
+def _table_certificate(roster, picks):
+    """The certificate of the sum of the roster entries at ``picks``, read off the tables."""
+    mods = [roster.modules[i] for i in picks]
+    return tilting_module._certify_tilting(direct_sum(roster.algebra, mods), mods,
+                                           roster, picks)
+
+
+def test_tables_agree_with_the_sum_on_every_four_entries_of_a4():
+    roster = enumerate_roster(linear_algebra(4))
+    assert len(roster.entries) == 10
+    tilting_count = 0
+    for picks in itertools.combinations(range(10), 4):
+        t = direct_sum(roster.algebra, [roster.modules[i] for i in picks])
+        assert max(roster.pd(i) for i in picks) == proj_dim(t), picks
+        ext_self = sum(roster.ext1_dim(i, j) for i in picks for j in picks)
+        assert ext_self == ext1_dim(t, t), picks
+        if ext_self:
+            continue        # not partial tilting, so not tilting either
+        cert = _table_certificate(roster, picks)
+        assert cert.indices == picks and cert.roster is roster
+        assert (cert.pd, cert.ext1_self) == (proj_dim(t), 0) and cert.tilting
+        assert (_parts(partition_roster(cert.module, roster, cert))
+                == _parts(partition_roster(cert.module, roster))), picks
+        tilting_count += 1
+    assert tilting_count == 14      # the Catalan number C_4: the tilting modules of A_4
+
+
+def test_a_certificate_that_is_not_tilting_takes_the_trace_path(counting):
+    roster = enumerate_roster(linear_algebra(4))
+    picks = next(p for p in itertools.combinations(range(10), 4)
+                 if sum(roster.ext1_dim(i, j) for i in p for j in p))
+    cert = _table_certificate(roster, picks)
+    assert cert.indices == picks and not cert.tilting
+    seen = counting(tilting_module, "_classify", slice(0, 2))
+    partition_roster(cert.module, roster, cert)
+    assert seen == [(cert.module, m) for m in roster.modules]
+    # a tilting certificate reads the tables and classifies nothing
+    regular = _table_certificate(roster, [roster.index(projective(roster.algebra, v))
+                                          for v in roster.algebra.vertices])
+    assert regular.tilting
+    seen.clear()
+    assert (_parts(partition_roster(regular.module, roster, regular))
+            == ([0, 1, 2, 3, 4, 5, 6, 7, 8, 9], [], []))
+    assert seen == []
+    # its indices point into its own roster only: another roster takes the trace path
+    other = enumerate_roster(roster.algebra)
+    partition_roster(regular.module, other, regular)
+    assert seen == [(regular.module, m) for m in other.modules]
 
 
 # -- Ext-projectives -------------------------------------------------------------
