@@ -38,19 +38,30 @@ the object it belongs to:
     table too;
   - rank P(X, X) of each entry X (``Roster.unit_rank``), read by
     ``Roster.decompose`` and by the restriction's closure check;
-  - i^*X, j^*X and i^!X of each entry X with the summand classes of these
-    images, per context (``_images``), read by the partition check and by
-    the restricted classes;
-- on the frozen ``GluedPairSpec``, the tilting certificates of a glued
-  pair's inputs T' and T'' (``inner_certificate``, ``outer_certificate``),
-  read by every glue of that spec, and the roster indices of the lifted
-  outer classes j_!X (``lifted_outer_indices``).
+  - i^*X, j^*X and i^!X of each entry X, the summand classes of these
+    images and the indices of those classes in the part's roster, per
+    context (``_images``), read by the partition check and by the
+    restricted classes;
+- on the frozen ``GluedPairSpec``, for a glued pair's inputs T' and T'':
+  their tilting certificates (``inner_certificate``,
+  ``outer_certificate``), the part-roster indices of their classes
+  (``inner_indices``, ``outer_indices``), the lifted outer classes j_!X
+  (``lifted_outer``) and the whole roster's indices of those
+  (``lifted_outer_indices``).
 
-Only the Gen/perp membership of the roster against the glued pair, and
-the trace partition of the caller's T in a restriction, are computed on
-every verdict.  The exactness report is lazy and not held: a glue
-computes only the j_! Tor family, and the left restriction only the i^*
-one.
+T' and T'' are tilting once the glue gets past its hypotheses, so Gen and
+perp of each side are read off the part rosters' Ext^1 and Hom tables
+(Brenner-Butler).  The glued class of each roster entry is thus a set of
+table reads (``_read_glued_class``), and so is the universal-extension
+check Ext^1(M, j_! T'') = 0 over the roster classes of the middle term M;
+``ext1_dim`` runs only for the dimension of a nonzero one.  What a glue
+still computes on every verdict is i_* T', j_! T'', the extension space
+between them and its universal extension, the roster classes of the
+middle term (``Roster.decompose``), the glued module's (T3) construction,
+the j_! Tor family of the exactness report, which is lazy and not held,
+and the Ext-projectivity check.  A restriction computes the restricted
+module's classes and (T3), the i^* Tor family on the left, and the trace
+partition of the caller's T.
 """
 
 from __future__ import annotations
@@ -102,17 +113,19 @@ def _roster(alg) -> Roster:
     return cache["_roster"]
 
 
-def _images(ctx: RecollementContext, roster: Roster, name: str) -> tuple[list, dict]:
-    """(images, classes) of the roster's entries under ctx's functor ``name``: "i*", "j*" or "i!".
+def _images(ctx: RecollementContext, roster: Roster, name: str) -> tuple[list, dict, dict]:
+    """(images, classes, indices) of the roster's entries under ctx's functor ``name``.
 
-    The images depend on the split and the roster only, so they are built
-    once and held on the roster, keyed by (ctx, name); they go with the
-    roster.  ``classes`` maps an entry's index to one indecomposable per
-    summand class of its image, filled on first use (``_image_classes``).
+    ``name`` is "i*", "j*" or "i!".  The images depend on the split and the
+    roster only, so they are built once and held on the roster, keyed by
+    (ctx, name); they go with the roster.  ``classes`` maps an entry's index
+    to one indecomposable per summand class of its image, and ``indices``
+    maps it to the indices of those classes in the part's roster; both are
+    filled on first use (``_image_classes``, ``_image_indices``).
     """
     key = (ctx, name)
     if key not in roster._images:
-        roster._images[key] = ([apply_functor(ctx, name, m) for m in roster.modules], {})
+        roster._images[key] = ([apply_functor(ctx, name, m) for m in roster.modules], {}, {})
     return roster._images[key]
 
 
@@ -134,20 +147,34 @@ def _missing_class(a, b) -> dict:
 def _image_classes(ctx: RecollementContext, roster: Roster, name: str,
                    indices) -> list[Representation]:
     """``summand_classes`` of the ``name`` images of the roster entries at ``indices``."""
-    images, classes = _images(ctx, roster, name)
+    images, classes, _ = _images(ctx, roster, name)
     for i in indices:
         if i not in classes:
             classes[i] = [p for p, _ in decompose(images[i])]
     return basic_summands([p for i in indices for p in classes[i]])
 
 
+def _image_indices(ctx: RecollementContext, roster: Roster, name: str, i: int) -> tuple:
+    """The part-roster indices of the summand classes of entry i's ``name`` image.
+
+    An index is None for a class that the part's roster does not hold.
+    """
+    indices = _images(ctx, roster, name)[2]
+    if i not in indices:
+        part = _roster(ctx.outer_algebra if name == "j*" else ctx.inner_algebra)
+        indices[i] = tuple(map(part.index, _image_classes(ctx, roster, name, [i])))
+    return indices[i]
+
+
 @dataclass(frozen=True)
 class GluedPairSpec:
     """Two tilting modules to glue across ctx's recollement.
 
-    The spec is frozen, so its input certificates, computed on first read
-    and held on it, always certify its own fields; ``dataclasses.replace``
-    gives a new spec that certifies afresh.
+    The spec is frozen, so what it holds, computed on first read, always
+    belongs to its own fields; ``dataclasses.replace`` gives a new spec
+    that computes afresh.  It holds the input certificates, the part-roster
+    indices of their classes, the lifted outer classes j_!X and, for the
+    last whole-algebra roster, the indices of those.
     """
     ctx: RecollementContext
     inner_tilting: Representation      # over the inner algebra
@@ -167,16 +194,29 @@ class GluedPairSpec:
     def outer_certificate(self) -> TiltingCertificate:
         return is_tilting(self.outer_tilting)
 
-    def lifted_outer_indices(self, roster: Roster, lifted: list) -> list:
-        """``roster.index`` of each module in ``lifted``, held on the spec for the last roster.
+    @cached_property
+    def lifted_outer(self) -> list[Representation]:
+        """j_!X for each summand class X of the outer tilting module, in the certificate's order."""
+        return [j_shriek(self.ctx, x) for x in self.outer_certificate.classes]
 
-        ``lifted`` holds j_!X for each summand class X of the outer tilting
-        module, in the order of ``outer_certificate.classes``; the roster is
-        held by weak reference.
+    @cached_property
+    def inner_indices(self) -> tuple:
+        """The inner roster's index of each class of ``inner_certificate``, None if it has none."""
+        return tuple(map(_roster(self.ctx.inner_algebra).index, self.inner_certificate.classes))
+
+    @cached_property
+    def outer_indices(self) -> tuple:
+        """The outer roster's index of each class of ``outer_certificate``, None if it has none."""
+        return tuple(map(_roster(self.ctx.outer_algebra).index, self.outer_certificate.classes))
+
+    def lifted_outer_indices(self, roster: Roster) -> list:
+        """``roster.index`` of each module of ``lifted_outer``, held on the spec for the last roster.
+
+        The roster is held by weak reference.
         """
         held = self.__dict__.get("_lifted_at")
         if held is None or held[0]() is not roster:
-            held = (weakref.ref(roster), [roster.index(y) for y in lifted])
+            held = (weakref.ref(roster), [roster.index(y) for y in self.lifted_outer])
             self.__dict__["_lifted_at"] = held
         return held[1]
 
@@ -192,10 +232,40 @@ def glued_membership(spec: GluedPairSpec, m: Representation) -> str:
 
 def _glued_class(spec: GluedPairSpec, top: Representation, outer: Representation,
                  sub: Representation) -> str:
-    """``glued_membership`` of a module M given i^*M, j^*M and i^!M."""
+    """``glued_membership`` of a module M given i^*M, j^*M and i^!M, by trace and Hom.
+
+    It is the fallback of ``_read_glued_class`` and the reference that the
+    tests hold the table reads to.
+    """
     if gen_member(spec.inner_tilting, top) and gen_member(spec.outer_tilting, outer):
         return "torsion"
     free = perp_member(spec.inner_tilting, sub) and perp_member(spec.outer_tilting, outer)
+    return "free" if free else "neither"
+
+
+def _read_glued_class(spec: GluedPairSpec, roster: Roster, i: int) -> str:
+    """``glued_membership`` of the roster entry X_i, read off the part rosters' tables.
+
+    The caller has certified T' and T'' tilting, so Gen T = {X : Ext^1(T, X)
+    = 0} and T-perp = {X : Hom(T, X) = 0} (Brenner-Butler), and both
+    conditions split over the summand classes on each side.  X_i is torsion
+    when Ext^1 vanishes from every class of T' to every class of i^*X_i and
+    from every class of T'' to every class of j^*X_i; free when Hom vanishes
+    in the same way on i^!X_i and j^*X_i.  A class that a part roster does
+    not hold sends X_i to ``_glued_class``.
+    """
+    ctx = spec.ctx
+    inner, outer = _roster(ctx.inner_algebra), _roster(ctx.outer_algebra)
+    t_in, t_out = spec.inner_indices, spec.outer_indices
+    top, mid, sub = (_image_indices(ctx, roster, name, i) for name in ("i*", "j*", "i!"))
+    if None in t_in + t_out + top + mid + sub:
+        return _glued_class(spec, *(_images(ctx, roster, name)[0][i]
+                                    for name in ("i*", "j*", "i!")))
+    if (all(inner.ext1_dim(a, b) == 0 for a in t_in for b in top)
+            and all(outer.ext1_dim(a, b) == 0 for a in t_out for b in mid)):
+        return "torsion"
+    free = (all(inner.hom_vanishes(a, b) for a in t_in for b in sub)
+            and all(outer.hom_vanishes(a, b) for a in t_out for b in mid))
     return "free" if free else "neither"
 
 
@@ -283,31 +353,38 @@ def glue_tilting(spec: GluedPairSpec, roster: Roster | None = None) -> GlueCerti
     ext_space = ext1(lifted_inner, lifted_outer)
     ses = universal_extension(ext_space)
     middle = ses.middle
-    universal_dim = ext1_dim(middle, lifted_outer)
+    pieces = [p for p, _ in _pieces(roster, middle)]
+    at_middle, at_lifted = [roster.index(p) for p in pieces], spec.lifted_outer_indices(roster)
+    # Ext^1(sum M_i, sum Y_j) is the sum of the Ext^1(M_i, Y_j); its dimension is
+    # computed only when the table does not say zero
+    universal_dim = 0
+    if None in at_middle + at_lifted or any(roster.ext1_dim(i, j) for i in at_middle
+                                            for j in at_lifted):
+        universal_dim = ext1_dim(middle, lifted_outer)
     universal_ok = universal_dim == 0
 
-    lifted = [j_shriek(ctx, x) for x in outer_cert.classes]
-    summands = basic_summands(lifted + [p for p, _ in _pieces(roster, middle)])
+    lifted = spec.lifted_outer
+    summands = basic_summands(lifted + pieces)
     glued = direct_sum(ctx.algebra, summands)
-    known = dict(zip(map(id, lifted), spec.lifted_outer_indices(roster, lifted)))
-    indices = [known[id(x)] if id(x) in known else roster.index(x) for x in summands]
+    known = dict(zip(map(id, lifted + pieces), at_lifted + at_middle))
+    indices = [known[id(x)] for x in summands]
 
     tilt_cert = _certify_tilting(glued, summands, roster, indices)
     part = partition_roster(glued, roster, tilt_cert)
     got = {**dict.fromkeys(part.torsion, "torsion"), **dict.fromkeys(part.free, "free"),
            **dict.fromkeys(part.neither, "neither")}
     witness = None
-    top, outer, sub = (_images(ctx, roster, name)[0] for name in ("i*", "j*", "i!"))
     mods = roster.modules
     for i, m in enumerate(mods):
-        glued_as = _glued_class(spec, top[i], outer[i], sub[i])
+        glued_as = _read_glued_class(spec, roster, i)
         if glued_as != got[i]:
             witness = {"module_dims": m.to_json()["dims"], "glued": glued_as, "trace": got[i]}
             break
     torsion = part.torsion
-    projs = basic_summands([mods[i] for i in torsion
-                            if all(roster.ext1_vanishes(i, j) for j in torsion)])
-    projs_match = _same_classes(projs, summands)
+    projs = [i for i in torsion if all(roster.ext1_vanishes(i, j) for j in torsion)]
+    # the entries are pairwise non-isomorphic: classes whose entries are known compare by index
+    projs_match = (sorted(projs) == sorted(indices) if None not in indices
+                   else _same_classes([mods[i] for i in projs], summands))
 
     return GlueCertificate(
         module=glued,
@@ -320,7 +397,8 @@ def glue_tilting(spec: GluedPairSpec, roster: Roster | None = None) -> GlueCerti
         partition_matches_glued=witness is None,
         ext_projectives_match=projs_match,
         partition_witness=witness,
-        ext_projectives_witness=None if projs_match else _missing_class(projs, summands),
+        ext_projectives_witness=None if projs_match else _missing_class(
+            basic_summands([mods[i] for i in projs]), summands),
         universal_ext_witness=None if universal_ok else {"ext1_dim": universal_dim},
     )
 

@@ -469,9 +469,10 @@ class Roster:
 
     ``index`` finds a module's entry through a map from dimension vectors
     to entry indices, also filled on first use.  ``_images`` holds the
-    entries' images under a recollement functor and the summand classes
-    of those images, keyed by (context, functor name) and filled by
-    ``gluing``; a context compares by identity.
+    entries' images under a recollement functor, the summand classes of
+    those images and the indices of those classes in the part's roster,
+    keyed by (context, functor name) and filled by ``gluing``; a context
+    compares by identity.
 
     None of it is compared or serialized.
     """

@@ -450,9 +450,14 @@ def test_partition_mismatch_names_its_witness(glued, roster, monkeypatch):
     ctx = split_context(glued, ["3", "4", "5"])
     spec = GluedPairSpec(ctx, t_inner(ctx), t_outer_case1(ctx))
     assert "partition_witness" not in glue_tilting(spec, roster).to_json()
-    # Gen T' and Gen T'' look empty, so no roster module is glued torsion
-    monkeypatch.setattr(gluing, "gen_member", lambda t, m: False)
+    # Gen T' and Gen T'' look empty, so no roster module is glued torsion: the glue
+    # reads that off the part rosters' Ext^1 tables, glued_membership off gen_member
+    for part in (gluing._roster(ctx.inner_algebra), gluing._roster(ctx.outer_algebra)):
+        monkeypatch.setattr(part, "ext1_dim", lambda i, j: 1)
+    traced = []
+    monkeypatch.setattr(gluing, "gen_member", lambda t, m: traced.append(m) or False)
     cert = glue_tilting(spec, roster)
+    assert traced == []
     assert not cert.partition_matches_glued and not cert.passed
     trace = {i: "torsion" for i in partition_roster(cert.module, roster).torsion}
     first = next(m for i, m in enumerate(roster.modules)
@@ -660,7 +665,8 @@ def test_restrict_left_computes_tor_only_on_the_whole_simples(ctx, roster, glued
 
 def test_universal_ext_failure_names_its_dimension(ctx, roster, monkeypatch):
     spec = GluedPairSpec(ctx, t_inner(ctx), t_outer_case1(ctx))
-    assert "universal_ext_witness" not in glue_tilting(spec, roster).to_json()
+    first = glue_tilting(spec, roster)
+    assert "universal_ext_witness" not in first.to_json()
     calls = []
 
     def nonzero(m, y):
@@ -668,10 +674,77 @@ def test_universal_ext_failure_names_its_dimension(ctx, roster, monkeypatch):
         return 3
 
     monkeypatch.setattr(gluing, "ext1_dim", nonzero)
+    # a positive glue reads its Ext^1 off the roster's table and never calls ext1_dim
+    assert glue_tilting(spec, roster).universal_ext_vanishes and calls == []
+    # one nonzero (middle entry, lifted entry) value sends it to ext1_dim for the dimension
+    middle = roster.index(roster.decompose(first.universal.middle)[0][0])
+    monkeypatch.setitem(roster._ext1, (middle, spec.lifted_outer_indices(roster)[0]), 1)
     cert = glue_tilting(spec, roster)
     assert len(calls) == 1 and calls[0][0] is cert.universal.middle
     assert not cert.universal_ext_vanishes and not cert.passed
     assert cert.to_json()["universal_ext_witness"] == {"ext1_dim": 3}
+
+
+# -- glued classes and the universal-Ext check read off the roster tables ------------
+
+
+@pytest.mark.parametrize("case", ["case1", "case2", "product", "ladder"])
+def test_table_reads_agree_with_the_trace(case, ctx, roster, product_algebra):
+    if case == "ladder":
+        # the top-outer split of CL_2; regular inputs glue to the regular module
+        ladder, top = commutative_ladder(2)
+        split = split_context(ladder, top)
+        inn, out = split.inner_algebra, split.outer_algebra
+        roster = enumerate_roster(ladder)
+        specs = [GluedPairSpec(split, regular_module(inn), outer) for outer in (
+            regular_module(out), direct_sum(out, [injective(out, v) for v in out.vertices]))]
+    else:
+        spec, roster = glue_case(case, ctx, roster, product_algebra)
+        specs = [spec]
+    names = ("i*", "j*", "i!")
+    read = []
+    for spec in specs:
+        cert = glue_tilting(spec, roster)
+        assert cert.passed
+        split = spec.ctx
+        assert None not in spec.inner_indices + spec.outer_indices
+        images = [gluing._images(split, roster, name)[0] for name in names]
+        for i in range(len(roster.modules)):
+            assert all(None not in gluing._image_indices(split, roster, name, i)
+                       for name in names)
+            read.append(gluing._read_glued_class(spec, roster, i))
+            assert read[-1] == gluing._glued_class(spec, *(im[i] for im in images))
+        middle = cert.universal.middle
+        at = [roster.index(p) for p, _ in roster.decompose(middle)]
+        table = all(roster.ext1_dim(i, j) == 0
+                    for i in at for j in spec.lifted_outer_indices(roster))
+        assert table == (ext1_dim(middle, j_shriek(split, spec.outer_tilting)) == 0)
+    assert {"torsion", "free"} <= set(read)
+
+
+@pytest.mark.parametrize("side", ["part", "whole"])
+def test_unindexed_class_takes_the_trace_path(side, ctx, roster, glued, monkeypatch, counting):
+    want = glue_tilting(GluedPairSpec(ctx, t_inner(ctx), t_outer_case1(ctx)), roster)
+    # a fresh split and roster hold no images, indices or tables yet
+    fresh, shared = split_context(glued, ["3", "4", "5"]), enumerate_roster(glued)
+    if side == "part":
+        # the outer roster "lacks" S(4)
+        patched, dims = gluing._roster(fresh.outer_algebra), (0, 1, 0)
+    else:
+        # the whole roster "lacks" a class of the middle term
+        patched = shared
+        dims = roster.decompose(want.universal.middle)[0][0].dim_vector()
+    real = patched.index
+    monkeypatch.setattr(patched, "index", lambda m: None if m.dim_vector() == dims else real(m))
+    traced, exts, compared = (counting(gluing, name)
+                              for name in ("_glued_class", "ext1_dim", "_same_classes"))
+    cert = glue_tilting(GluedPairSpec(fresh, t_inner(fresh), t_outer_case1(fresh)), shared)
+    assert cert.to_json() == want.to_json()
+    if side == "part":
+        assert 0 < len(traced) < len(roster.modules) and exts == compared == []
+    else:
+        assert traced == [] and len(exts) == len(compared) == 1
+        assert exts[0] is cert.universal.middle
 
 
 # -- the fit filter of _add_pieces against the unfiltered multiplicity sum ------------

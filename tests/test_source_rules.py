@@ -74,3 +74,15 @@ def test_traced_per_layer_metrics_name_public_functions():
         if not inspect.isfunction(obj):
             missing.append(f"{layer}.{fn}")
     assert not missing, missing
+
+
+def test_no_true_division_outside_path_joins():
+    # "/" on two int entries gives a float, which is no longer exact; fixtures.py
+    # uses it only to join pathlib paths
+    paths = sorted(p for p in SRC.glob("*.py") if p.name != "fixtures.py")
+    assert paths, SRC
+    found = [f"{path.name}:{node.lineno}"
+             for path in paths
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)]
+    assert not found, found
