@@ -4,23 +4,27 @@ The forward direction builds one universal extension of the lifted inner
 tilting module by copies of the tensor-lifted outer one, and certifies
 every conclusion: pd <= 1, self-orthogonality, the coresolution, the
 partition identity between the glued membership predicates and the
-torsion partition of the result, and the Ext-projectivity identity.  The summand
-classes of the glued module are assembled, not rediscovered: j_! is
-additive and fully faithful (j^* j_! = id), so it sends the summand
+torsion partition of the result, and the Ext-projectivity identity.  The
+summand classes of the glued module are assembled, not rediscovered: j_!
+is additive and fully faithful (j^* j_! = id), so it sends the summand
 classes of the outer tilting module to pairwise non-isomorphic
 indecomposables, and the classes of the middle term of the universal
-extension are read off the whole algebra's roster (``Roster.decompose``,
-one Hom rank per entry), with ``decompose`` run only when the roster does
-not account for the middle term.  The tilting certificate and the
-Ext-projectivity check use that class list.
+extension are read off the whole algebra's roster (``Roster.decompose``),
+with ``decompose`` run only when the roster does not account for it.
 
 The backward direction restricts a tilting module to one part, in one
 routine for both sides.  It classifies the restricted module against the
-part's roster in the same way, with ``decompose`` as the fallback,
-partitions T's roster once, sends the torsion and free classes through
-the side's restriction functors, always certifies tilting-ness of the
-outer restriction, and reports which closure hypotheses (and hence which
-partition equalities) survive.
+part's roster in the same way, partitions T's roster once, sends the
+torsion and free classes through the side's restriction functors, always
+certifies tilting-ness of the outer restriction, and reports which
+closure hypotheses (and hence which partition equalities) survive.
+
+Both directions build a basic module from classes they know.  When the
+roster holds every class, the module is the sum of those entries, built
+and certified in one call (``_certify_roster_sum``) that reads its (T1),
+(T2) and, once it is tilting, its torsion partition off the roster's
+tables.  Otherwise it is the sum of the classes themselves, certified
+and partitioned by trace (``_certify_by_trace``).
 
 What does not depend on the tilting module is computed once and kept on
 the object it belongs to:
@@ -28,26 +32,19 @@ the object it belongs to:
 - a whole-algebra roster that is not passed in, and the roster of each
   part, once per algebra object (``_roster``);
 - on the roster, everything derived from its entries:
-  - dim Ext^1 between two entries (``Roster.ext1_dim``), pd of each entry
-    (``Roster.pd``) and whether Hom between two entries vanishes
-    (``Roster.hom_vanishes``).  The glued module and the restricted one
-    are basic sums of roster entries, located by ``Roster.index``, so
-    their (T1) and (T2), and their torsion pairs once they are certified
-    tilting, are read off these tables (``_certify_tilting``,
-    ``partition_roster``).  The Ext-projectivity check reads the Ext^1
-    table too;
+  - the tables of dim Ext^1, pd and Hom vanishing (``Roster.ext1_dim``,
+    ``Roster.pd``, ``Roster.hom_vanishes``), read by those certificates
+    and, Ext^1, by the Ext-projectivity check;
   - rank P(X, X) of each entry X (``Roster.unit_rank``), read by
     ``Roster.decompose`` and by the restriction's closure check;
   - i^*X, j^*X and i^!X of each entry X, the summand classes of these
     images and the indices of those classes in the part's roster, per
     context (``_images``), read by the partition check and by the
     restricted classes;
-- on the frozen ``GluedPairSpec``, for a glued pair's inputs T' and T'':
-  their tilting certificates (``inner_certificate``,
-  ``outer_certificate``), the part-roster indices of their classes
-  (``inner_indices``, ``outer_indices``), the lifted outer classes j_!X
-  (``lifted_outer``) and the whole roster's indices of those
-  (``lifted_outer_indices``).
+  - the index of j_!Y for each entry Y of the outer roster, per context
+    (``_lifted_index``);
+- on the frozen ``GluedPairSpec``: the tilting certificates of its inputs
+  T' and T'' and the part-roster indices of their classes.
 
 T' and T'' are tilting once the glue gets past its hypotheses, so Gen and
 perp of each side are read off the part rosters' Ext^1 and Hom tables
@@ -66,7 +63,6 @@ partition of the caller's T.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -96,9 +92,12 @@ from .recollement import (
     j_star_upper,
 )
 from .tilting import (
+    RosterPartition,
     TiltingCertificate,
+    _certify_roster_sum,
     _certify_tilting,
     gen_member,
+    is_partial_tilting,
     is_tilting,
     partition_roster,
     perp_member,
@@ -166,15 +165,31 @@ def _image_indices(ctx: RecollementContext, roster: Roster, name: str, i: int) -
     return indices[i]
 
 
+def _lifted_index(ctx: RecollementContext, roster: Roster, k: int) -> int | None:
+    """``roster.index`` of j_!Y for the outer roster's entry Y_k, held in ``roster._images``."""
+    held = roster._images.setdefault((ctx, "j!"), {})
+    if k not in held:
+        held[k] = roster.index(j_shriek(ctx, _roster(ctx.outer_algebra).modules[k]))
+    return held[k]
+
+
+def _certify_by_trace(roster: Roster, classes: list) -> tuple[TiltingCertificate, RosterPartition]:
+    """``_certify_roster_sum`` for the basic sum of ``classes``, when the roster lacks one of them.
+
+    (T1) and (T2) are computed on the sum, and the partition is traced.
+    """
+    t = direct_sum(roster.algebra, classes)
+    return _certify_tilting(is_partial_tilting(t), classes), partition_roster(t, roster)
+
+
 @dataclass(frozen=True)
 class GluedPairSpec:
     """Two tilting modules to glue across ctx's recollement.
 
     The spec is frozen, so what it holds, computed on first read, always
     belongs to its own fields; ``dataclasses.replace`` gives a new spec
-    that computes afresh.  It holds the input certificates, the part-roster
-    indices of their classes, the lifted outer classes j_!X and, for the
-    last whole-algebra roster, the indices of those.
+    that computes afresh.  It holds the input certificates and the
+    part-roster indices of their classes.
     """
     ctx: RecollementContext
     inner_tilting: Representation      # over the inner algebra
@@ -195,11 +210,6 @@ class GluedPairSpec:
         return is_tilting(self.outer_tilting)
 
     @cached_property
-    def lifted_outer(self) -> list[Representation]:
-        """j_!X for each summand class X of the outer tilting module, in the certificate's order."""
-        return [j_shriek(self.ctx, x) for x in self.outer_certificate.classes]
-
-    @cached_property
     def inner_indices(self) -> tuple:
         """The inner roster's index of each class of ``inner_certificate``, None if it has none."""
         return tuple(map(_roster(self.ctx.inner_algebra).index, self.inner_certificate.classes))
@@ -208,17 +218,6 @@ class GluedPairSpec:
     def outer_indices(self) -> tuple:
         """The outer roster's index of each class of ``outer_certificate``, None if it has none."""
         return tuple(map(_roster(self.ctx.outer_algebra).index, self.outer_certificate.classes))
-
-    def lifted_outer_indices(self, roster: Roster) -> list:
-        """``roster.index`` of each module of ``lifted_outer``, held on the spec for the last roster.
-
-        The roster is held by weak reference.
-        """
-        held = self.__dict__.get("_lifted_at")
-        if held is None or held[0]() is not roster:
-            held = (weakref.ref(roster), [roster.index(y) for y in self.lifted_outer])
-            self.__dict__["_lifted_at"] = held
-        return held[1]
 
 
 def glued_membership(spec: GluedPairSpec, m: Representation) -> str:
@@ -354,23 +353,23 @@ def glue_tilting(spec: GluedPairSpec, roster: Roster | None = None) -> GlueCerti
     ses = universal_extension(ext_space)
     middle = ses.middle
     pieces = [p for p, _ in _pieces(roster, middle)]
-    at_middle, at_lifted = [roster.index(p) for p in pieces], spec.lifted_outer_indices(roster)
+    at_middle = [roster.index(p) for p in pieces]
+    at_lifted = [roster.index(j_shriek(ctx, x)) if k is None else _lifted_index(ctx, roster, k)
+                 for k, x in zip(spec.outer_indices, outer_cert.classes)]
+    at_summands = at_middle + at_lifted
     # Ext^1(sum M_i, sum Y_j) is the sum of the Ext^1(M_i, Y_j); its dimension is
     # computed only when the table does not say zero
     universal_dim = 0
-    if None in at_middle + at_lifted or any(roster.ext1_dim(i, j) for i in at_middle
-                                            for j in at_lifted):
+    if None in at_summands or any(roster.ext1_dim(i, j) for i in at_middle for j in at_lifted):
         universal_dim = ext1_dim(middle, lifted_outer)
     universal_ok = universal_dim == 0
 
-    lifted = spec.lifted_outer
-    summands = basic_summands(lifted + pieces)
-    glued = direct_sum(ctx.algebra, summands)
-    known = dict(zip(map(id, lifted + pieces), at_lifted + at_middle))
-    indices = [known[id(x)] for x in summands]
-
-    tilt_cert = _certify_tilting(glued, summands, roster, indices)
-    part = partition_roster(glued, roster, tilt_cert)
+    if None in at_summands:
+        tilt_cert, part = _certify_by_trace(roster, basic_summands(
+            [j_shriek(ctx, x) for x in outer_cert.classes] + pieces))
+    else:
+        tilt_cert, part = _certify_roster_sum(roster, sorted(set(at_summands)))
+    glued, summands = tilt_cert.module, tilt_cert.classes
     got = {**dict.fromkeys(part.torsion, "torsion"), **dict.fromkeys(part.free, "free"),
            **dict.fromkeys(part.neither, "neither")}
     witness = None
@@ -383,7 +382,7 @@ def glue_tilting(spec: GluedPairSpec, roster: Roster | None = None) -> GlueCerti
     torsion = part.torsion
     projs = [i for i in torsion if all(roster.ext1_vanishes(i, j) for j in torsion)]
     # the entries are pairwise non-isomorphic: classes whose entries are known compare by index
-    projs_match = (sorted(projs) == sorted(indices) if None not in indices
+    projs_match = (projs == sorted(set(at_summands)) if None not in at_summands
                    else _same_classes([mods[i] for i in projs], summands))
 
     return GlueCertificate(
@@ -453,9 +452,10 @@ def _restrict(ctx: RecollementContext, t: Representation, roster: Roster | None,
             return RestrictionResult(side, direct_sum(alg, summands), summands,
                                      None, False, hyp, None)
     own = _roster(alg)
-    summands = [p for p, _ in _pieces(own, image)]
-    module = direct_sum(alg, summands)
-    cert = _certify_tilting(module, summands, own, [own.index(x) for x in summands])
+    pieces = [p for p, _ in _pieces(own, image)]
+    at = [own.index(x) for x in pieces]
+    cert, induced = (_certify_by_trace(own, pieces) if None in at
+                     else _certify_roster_sum(own, sorted(at)))
     if roster is None:
         roster = _roster(ctx.algebra)
     part = partition_roster(t, roster)
@@ -475,11 +475,10 @@ def _restrict(ctx: RecollementContext, t: Representation, roster: Roster | None,
         hyp["holds"] = hyp["torsion_closed"] and hyp["free_closed"]
     tclass = _image_classes(ctx, roster, "i*" if left else "j*", part.torsion)
     fclass = _image_classes(ctx, roster, "i!" if left else "j*", part.free)
-    induced = partition_roster(module, own, cert)
     equal = (not induced.neither
              and _same_classes(tclass, [own_mods[i] for i in induced.torsion])
              and _same_classes(fclass, [own_mods[i] for i in induced.free]))
-    return RestrictionResult(side, module, summands, cert, True, hyp, equal,
+    return RestrictionResult(side, cert.module, cert.classes, cert, True, hyp, equal,
                              (tclass, fclass))
 
 

@@ -471,8 +471,9 @@ class Roster:
     to entry indices, also filled on first use.  ``_images`` holds the
     entries' images under a recollement functor, the summand classes of
     those images and the indices of those classes in the part's roster,
-    keyed by (context, functor name) and filled by ``gluing``; a context
-    compares by identity.
+    keyed by (context, functor name) and filled by ``gluing``.  Its key
+    (context, "j!") holds, for the outer roster's entries Y, the index
+    here of j_!Y.  A context compares by identity.
 
     None of it is compared or serialized.
     """

@@ -59,9 +59,6 @@ class TiltingCertificate:
     indecomposable_count: int | None = None
     simple_count: int | None = None
     classes: list | None = field(default=None, compare=False)  # one per summand class
-    # the roster that holds the classes, and their entries' indices there, when known
-    roster: Roster | None = field(default=None, compare=False, repr=False)
-    indices: tuple | None = field(default=None, compare=False)
     # where the (T3) construction first fails: {"vertex", "failure", "dims"}
     t3_witness: dict | None = None
 
@@ -120,30 +117,17 @@ def is_tilting(t: Representation) -> TiltingCertificate:
     approximation is not injective (with its target's dims) or whose
     cokernel lies outside add(T) (with the cokernel's dims).
     """
-    return _certify_tilting(t, [rep for rep, _ in decompose(t)])
+    return _certify_tilting(is_partial_tilting(t), [rep for rep, _ in decompose(t)])
 
 
-def _certify_tilting(t: Representation, classes, roster: Roster | None = None,
-                     indices=None) -> TiltingCertificate:
-    """``is_tilting`` given the summand classes of t.
+def _certify_tilting(cert: TiltingCertificate, classes) -> TiltingCertificate:
+    """Complete the (T1)/(T2) certificate ``cert`` with (T3), given its module's summand classes.
 
     The caller guarantees that ``classes`` holds exactly one indecomposable
-    per isomorphism class of direct summands of t; nothing here checks it.
-    When t is moreover basic and ``indices`` gives, for each class, the
-    index in ``roster`` of the entry isomorphic to it, (T1) and (T2) are
-    read off the roster's tables: for T = sum of X_i, pd T = max pd X_i and
-    dim Ext^1(T, T) = sum over i, j of dim Ext^1(X_i, X_j).  The
-    certificate then keeps the roster and the indices, so that, once T is
-    certified tilting, ``partition_roster`` can read T's torsion pair off
-    the same tables (Brenner-Butler).  (T3) is always constructed.
+    per isomorphism class of direct summands of ``cert.module``; nothing
+    here checks it.  (T3) is always constructed, and ``cert`` is returned.
     """
-    if indices is None or None in indices:
-        cert = is_partial_tilting(t)
-    else:
-        cert = TiltingCertificate(t, max(map(roster.pd, indices), default=0),
-                                  sum(roster.ext1_dim(i, j) for i in indices for j in indices),
-                                  roster=roster, indices=tuple(indices))
-    alg = t.algebra
+    alg = cert.module.algebra
     cert.classes = classes
     cert.indecomposable_count = len(classes)
     cert.simple_count = len(alg.vertices)
@@ -286,31 +270,46 @@ class RosterPartition:
         }
 
 
-def partition_roster(t: Representation, roster: Roster,
-                     cert: TiltingCertificate | None = None) -> RosterPartition:
-    """Classify each indecomposable by trace membership.
+def partition_roster(t: Representation, roster: Roster) -> RosterPartition:
+    """Classify each roster entry by trace membership in Gen t and t-perp, for any t.
 
-    When ``cert`` certifies t tilting and holds the indices of t's summand
-    classes in ``roster`` (see ``_certify_tilting``), the partition is read
-    off the roster's tables instead.  For T tilting, Gen T = {X : Ext^1(T,
-    X) = 0} and T-perp = {X : Hom(T, X) = 0} (Brenner-Butler; Assem-Simson-
-    Skowronski VI.2), so X_j is torsion when Ext^1(X_i, X_j) = 0 for every
-    summand X_i, free when Hom(X_i, X_j) = 0 for every one, and neither
-    otherwise.  Any other certificate, or none, takes the trace path.
+    A tilting sum of roster entries has its partition read off the roster's
+    tables instead (``_certify_roster_sum``).
     """
     part = RosterPartition(roster, [], [])
-    if cert is not None and cert.tilting and cert.module is t and cert.roster is roster:
-        for j in range(len(roster.entries)):
-            if all(roster.ext1_dim(i, j) == 0 for i in cert.indices):
-                part.torsion.append(j)
-            elif all(roster.hom_vanishes(i, j) for i in cert.indices):
-                part.free.append(j)
-            else:
-                part.neither.append(j)
-        return part
     for i, m in enumerate(roster.modules):
         getattr(part, _classify(t, m)).append(i)
     return part
+
+
+def _certify_roster_sum(roster: Roster, indices) -> tuple[TiltingCertificate, RosterPartition]:
+    """The tilting certificate of T, the sum of the entries at ``indices``, and T's partition.
+
+    ``indices`` are distinct and increasing, so T is basic with the entries
+    as its classes.  (T1) and (T2) are read off the roster's tables: pd T =
+    max pd X_i and dim Ext^1(T, T) = sum of dim Ext^1(X_i, X_j).  (T3) is
+    constructed.  For T tilting, Gen T = {X : Ext^1(T, X) = 0} and T-perp =
+    {X : Hom(T, X) = 0} (Brenner-Butler; Assem-Simson-Skowronski VI.2), so
+    X_j is torsion when Ext^1(X_i, X_j) = 0 for every i, free when Hom(X_i,
+    X_j) = 0 for every i, and neither otherwise.  Any other T is
+    partitioned by trace (``partition_roster``).
+    """
+    classes = [roster.entries[i].module for i in indices]
+    t = direct_sum(roster.algebra, classes)
+    cert = _certify_tilting(TiltingCertificate(
+        t, max(map(roster.pd, indices), default=0),
+        sum(roster.ext1_dim(i, j) for i in indices for j in indices)), classes)
+    if not cert.tilting:
+        return cert, partition_roster(t, roster)
+    part = RosterPartition(roster, [], [])
+    for j in range(len(roster.entries)):
+        if all(roster.ext1_dim(i, j) == 0 for i in indices):
+            part.torsion.append(j)
+        elif all(roster.hom_vanishes(i, j) for i in indices):
+            part.free.append(j)
+        else:
+            part.neither.append(j)
+    return cert, part
 
 
 def is_tilting_torsion_pair(t: Representation) -> bool:

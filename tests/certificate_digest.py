@@ -36,21 +36,28 @@ def _dims(mods):
     return [m.to_json()["dims"] for m in mods]
 
 
-def _record(result, modules: bool):
-    """The JSON of one verdict's result; ``modules`` adds each certificate's module."""
+def _record(result):
+    """The JSON of one verdict's result, each certificate's module included."""
     if isinstance(result, tuple):
-        return [_record(r, modules) for r in result]
+        return [_record(r) for r in result]
     if isinstance(result, dict):
         return result
     out = {"json": result.to_json()}
     if getattr(result, "restricted_classes", None) is not None:
         out["restricted_classes"] = [_dims(c) for c in result.restricted_classes]
-    if modules and hasattr(result, "module"):
+    if hasattr(result, "module"):
         out["module"] = result.module.to_json()
     return out
 
 
-def verdict_records(modules: bool) -> list:
+def _without_modules(record):
+    """``record`` with each certificate's module left out."""
+    if isinstance(record, list):
+        return [_without_modules(r) for r in record]
+    return {key: value for key, value in record.items() if key != "module"}
+
+
+def verdict_records() -> list:
     """One record per verdict, in run order."""
     records = []
     for name, seeds in RUNS:
@@ -61,7 +68,7 @@ def verdict_records(modules: bool) -> list:
                     _, _, ok, result = workloads.run_verdict(verdict)
                     if not ok:
                         raise SystemExit(f"{name} seed {seed}: {verdict.kind} failed its check")
-                    records.append([verdict.kind, _record(result, modules)])
+                    records.append([verdict.kind, _record(result)])
     return records
 
 
@@ -70,10 +77,10 @@ def digest(records) -> str:
 
 
 def main():
-    with_modules = verdict_records(True)
-    print(f"{len(with_modules)} verdicts")
-    print(f"with modules:    {digest(with_modules)}")
-    print(f"without modules: {digest(verdict_records(False))}")
+    records = verdict_records()
+    print(f"{len(records)} verdicts")
+    print(f"with modules:    {digest(records)}")
+    print(f"without modules: {digest([[kind, _without_modules(r)] for kind, r in records])}")
 
 
 if __name__ == "__main__":

@@ -532,6 +532,21 @@ def test_images_do_not_keep_fresh_rosters_alive(glued):
     assert all(r() is None for r in refs)
 
 
+def test_returned_certificates_do_not_keep_a_roster_alive(glued, roster):
+    ctx = split_context(glued, ["3", "4", "5"])
+    spec = GluedPairSpec(ctx, t_inner(ctx), t_outer_case1(ctx))
+    t = t_case4(roster, glued)
+    kept, refs = [], []
+    for _ in range(3):
+        fresh = enumerate_roster(glued)
+        kept += [glue_tilting(spec, fresh), restrict_right(ctx, t, fresh)]
+        refs.append(weakref.ref(fresh))
+    del fresh
+    gc.collect()
+    assert all(cert.tilting.tilting for cert in kept)
+    assert [r() is None for r in refs] == [True] * 3
+
+
 def test_second_glue_recomputes_no_roster_data(glued, counting):
     ctx = split_context(glued, ["3", "4", "5"])
     shared = enumerate_roster(glued)
@@ -571,7 +586,8 @@ def test_roster_tables_hold_only_ints_and_bools(glued):
             assert all(type(i) is int for i in (key if type(key) is tuple else (key,)))
 
 
-def test_paper_case_tables_agree_with_the_sums(ctx, roster, glued, product_algebra):
+def test_paper_case_tables_agree_with_the_sums(ctx, roster, glued, product_algebra, counting):
+    sums = counting(gluing, "_certify_roster_sum", slice(0, 2))
     # the tilting certificates of the paper_cases verdicts: glues, restrictions, product
     certs = [glue_tilting(glue_case(case, ctx, roster, product_algebra)[0], roster).tilting
              for case in ("case1", "case2")]
@@ -581,13 +597,16 @@ def test_paper_case_tables_agree_with_the_sums(ctx, roster, glued, product_algeb
     glued_product = glue_tilting(spec)
     certs += [glued_product.tilting, restrict_left(spec.ctx, glued_product.module).tilting]
     assert len(certs) == 6
-    for cert in certs:
-        t, on = cert.module, cert.roster
-        # (T1) and (T2) were read off the tables of the roster that holds t's summands
-        assert on is not None and len(cert.indices) == len(cert.classes)
-        assert all(rep.same_class(on.modules[i], x) for i, x in zip(cert.indices, cert.classes))
+    # each was read off the tables of the roster whose entries at the indices are t's classes
+    assert len(sums) == 6
+    for cert, (on, indices) in zip(certs, sums):
+        t = cert.module
+        assert indices == sorted(set(indices)) and len(indices) == len(cert.classes)
+        assert all(on.modules[i] is x for i, x in zip(indices, cert.classes))
         assert cert.tilting and cert.pd == proj_dim(t) and cert.ext1_self == ext1_dim(t, t)
-        table, traced = partition_roster(t, on, cert), partition_roster(t, on)
+        again, table = tilting._certify_roster_sum(on, indices)
+        assert again.to_json() == cert.to_json()
+        traced = partition_roster(t, on)
         assert (table.torsion, table.free, table.neither) == (
             traced.torsion, traced.free, traced.neither)
 
@@ -678,7 +697,8 @@ def test_universal_ext_failure_names_its_dimension(ctx, roster, monkeypatch):
     assert glue_tilting(spec, roster).universal_ext_vanishes and calls == []
     # one nonzero (middle entry, lifted entry) value sends it to ext1_dim for the dimension
     middle = roster.index(roster.decompose(first.universal.middle)[0][0])
-    monkeypatch.setitem(roster._ext1, (middle, spec.lifted_outer_indices(roster)[0]), 1)
+    lifted = gluing._lifted_index(ctx, roster, spec.outer_indices[0])
+    monkeypatch.setitem(roster._ext1, (middle, lifted), 1)
     cert = glue_tilting(spec, roster)
     assert len(calls) == 1 and calls[0][0] is cert.universal.middle
     assert not cert.universal_ext_vanishes and not cert.passed
@@ -716,8 +736,8 @@ def test_table_reads_agree_with_the_trace(case, ctx, roster, product_algebra):
             assert read[-1] == gluing._glued_class(spec, *(im[i] for im in images))
         middle = cert.universal.middle
         at = [roster.index(p) for p, _ in roster.decompose(middle)]
-        table = all(roster.ext1_dim(i, j) == 0
-                    for i in at for j in spec.lifted_outer_indices(roster))
+        lifted = [gluing._lifted_index(split, roster, k) for k in spec.outer_indices]
+        table = all(roster.ext1_dim(i, j) == 0 for i in at for j in lifted)
         assert table == (ext1_dim(middle, j_shriek(split, spec.outer_tilting)) == 0)
     assert {"torsion", "free"} <= set(read)
 

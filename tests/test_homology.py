@@ -339,6 +339,33 @@ def test_roster_cap(glued):
         enumerate_roster(glued, cap=7)
 
 
+# -- the roster tables against their duals over the opposite algebra -------------------
+
+CORPUS_FIXTURES = {"lambda": "glued", "product": "product_algebra",
+                   "mutated": "mutated_algebra", "inner": "inner", "outer": "outer"}
+
+
+@pytest.mark.parametrize("name", list(CORPUS_FIXTURES))
+def test_roster_tables_are_dual_over_the_opposite_algebra(name, request):
+    # D = Hom_Q(-, Q) is an exact duality mod A -> mod A^op, so D X_i is the entry X'_i'
+    # of A^op's roster, dim Ext^1(X_i, X_j) = dim Ext^1(X'_j', X'_i') and Hom(X_i, X_j) = 0
+    # iff Hom(X'_j', X'_i') = 0; the opposite side runs its own presentations and Hom systems
+    alg = request.getfixturevalue(CORPUS_FIXTURES[name])
+    roster, opposite = enumerate_roster(alg), enumerate_roster(alg.opposite())
+    mods = roster.modules
+    at = [opposite.index(dual(m)) for m in mods]
+    unmatched = [m.dim_vector() for m, i in zip(mods, at) if i is None]
+    assert not unmatched, f"no entry of the opposite roster is D of {unmatched[0]}"
+    assert sorted(at) == list(range(len(opposite.entries)))
+    tables = (("ext1_dim", roster.ext1_dim, opposite.ext1_dim),
+              ("hom_vanishes", roster.hom_vanishes, opposite.hom_vanishes))
+    first = next(((table, mods[i].dim_vector(), mods[j].dim_vector())
+                  for i in range(len(mods)) for j in range(len(mods))
+                  for table, here, there in tables if here(i, j) != there(at[j], at[i])),
+                 None)
+    assert first is None, f"{first[0]} of the pair {first[1:]} differs from its dual"
+
+
 # -- transpose and hom_from_projective against their full-size constructions ------------
 
 def hom_from_projective_reference(algebra, v, m, vec):

@@ -357,13 +357,6 @@ def _parts(part):
     return part.torsion, part.free, part.neither
 
 
-def _table_certificate(roster, picks):
-    """The certificate of the sum of the roster entries at ``picks``, read off the tables."""
-    mods = [roster.modules[i] for i in picks]
-    return tilting_module._certify_tilting(direct_sum(roster.algebra, mods), mods,
-                                           roster, picks)
-
-
 def test_tables_agree_with_the_sum_on_every_four_entries_of_a4():
     roster = enumerate_roster(linear_algebra(4))
     assert len(roster.entries) == 10
@@ -375,11 +368,11 @@ def test_tables_agree_with_the_sum_on_every_four_entries_of_a4():
         assert ext_self == ext1_dim(t, t), picks
         if ext_self:
             continue        # not partial tilting, so not tilting either
-        cert = _table_certificate(roster, picks)
-        assert cert.indices == picks and cert.roster is roster
+        cert, part = tilting_module._certify_roster_sum(roster, picks)
+        assert all(x is roster.modules[i] for x, i in zip(cert.classes, picks))
+        assert cert.module.to_json() == t.to_json()
         assert (cert.pd, cert.ext1_self) == (proj_dim(t), 0) and cert.tilting
-        assert (_parts(partition_roster(cert.module, roster, cert))
-                == _parts(partition_roster(cert.module, roster))), picks
+        assert _parts(part) == _parts(partition_roster(cert.module, roster)), picks
         tilting_count += 1
     assert tilting_count == 14      # the Catalan number C_4: the tilting modules of A_4
 
@@ -388,22 +381,22 @@ def test_a_certificate_that_is_not_tilting_takes_the_trace_path(counting):
     roster = enumerate_roster(linear_algebra(4))
     picks = next(p for p in itertools.combinations(range(10), 4)
                  if sum(roster.ext1_dim(i, j) for i in p for j in p))
-    cert = _table_certificate(roster, picks)
-    assert cert.indices == picks and not cert.tilting
     seen = counting(tilting_module, "_classify", slice(0, 2))
-    partition_roster(cert.module, roster, cert)
+    cert, part = tilting_module._certify_roster_sum(roster, picks)
+    assert not cert.tilting
     assert seen == [(cert.module, m) for m in roster.modules]
-    # a tilting certificate reads the tables and classifies nothing
-    regular = _table_certificate(roster, [roster.index(projective(roster.algebra, v))
-                                          for v in roster.algebra.vertices])
-    assert regular.tilting
+    assert _parts(part) == _parts(partition_roster(cert.module, roster))
+    # a tilting sum reads the tables and classifies nothing
     seen.clear()
-    assert (_parts(partition_roster(regular.module, roster, regular))
-            == ([0, 1, 2, 3, 4, 5, 6, 7, 8, 9], [], []))
+    regular, part = tilting_module._certify_roster_sum(
+        roster, sorted(roster.index(projective(roster.algebra, v))
+                       for v in roster.algebra.vertices))
+    assert regular.tilting
+    assert _parts(part) == ([0, 1, 2, 3, 4, 5, 6, 7, 8, 9], [], [])
     assert seen == []
-    # its indices point into its own roster only: another roster takes the trace path
+    # partition_roster always traces, also for a tilting module, on any roster
     other = enumerate_roster(roster.algebra)
-    partition_roster(regular.module, other, regular)
+    assert _parts(partition_roster(regular.module, other)) == _parts(part)
     assert seen == [(regular.module, m) for m in other.modules]
 
 
