@@ -473,11 +473,18 @@ def _restrict(ctx: RecollementContext, t: Representation, roster: Roster | None,
                     hyp[f"{name}_witness"] = back.to_json()["dims"]
                     break
         hyp["holds"] = hyp["torsion_closed"] and hyp["free_closed"]
-    tclass = _image_classes(ctx, roster, "i*" if left else "j*", part.torsion)
-    fclass = _image_classes(ctx, roster, "i!" if left else "j*", part.free)
-    equal = (not induced.neither
-             and _same_classes(tclass, [own_mods[i] for i in induced.torsion])
-             and _same_classes(fclass, [own_mods[i] for i in induced.free]))
+    tname, fname = ("i*", "i!") if left else ("j*", "j*")
+    tclass = _image_classes(ctx, roster, tname, part.torsion)
+    fclass = _image_classes(ctx, roster, fname, part.free)
+    # classes whose part-roster indices are all held compare by index set
+    held = [{k for i in picked for k in _image_indices(ctx, roster, name, i)}
+            for name, picked in ((tname, part.torsion), (fname, part.free))]
+    if None in held[0] | held[1]:
+        equal = (not induced.neither
+                 and _same_classes(tclass, [own_mods[i] for i in induced.torsion])
+                 and _same_classes(fclass, [own_mods[i] for i in induced.free]))
+    else:
+        equal = not induced.neither and held == [set(induced.torsion), set(induced.free)]
     return RestrictionResult(side, cert.module, cert.classes, cert, True, hyp, equal,
                              (tclass, fclass))
 

@@ -18,7 +18,10 @@ Integer rows also enter from outside, through :func:`int_kernel`:
 ``rep`` builds its intertwining systems and the polynomials of its
 splitting endomorphisms in integers, and hands them straight to the
 elimination, so the only ``Fraction`` objects made there are those of
-the kernel basis it returns.
+the kernel basis it returns.  The same elimination also gives that
+kernel as integer vectors (``_kernel_ints``), each basis vector scaled
+by the lcm of the pivots it meets; a question that needs only a rank
+or a dimension reads those, and no ``Fraction`` is made at all.
 """
 
 from __future__ import annotations
@@ -371,6 +374,30 @@ def int_kernel(rows: list[list[int]], ncols: int) -> Mat:
         p = row[c]
         out[c] = tuple(Fraction(-row[j], p) if row[j] else _ZERO for j in free)
     return Mat._trusted(ncols, len(free), tuple(out))
+
+
+def _kernel_ints(rows: list[list[int]], ncols: int) -> list[list[int]]:
+    """:func:`int_kernel`'s basis vectors, each scaled to integers, as lists.
+
+    The same elimination: free column j gets the lcm L of the pivots of
+    the rows it meets, and pivot column c of such a row gets ``-row[j] *
+    L / row[c]``, so vector j is ``int_kernel``'s column j times L.  No
+    ``Fraction`` is made.
+    """
+    reduced, pivots = reduce_rows(rows, ncols)
+    pivot_set = set(pivots)
+    out = []
+    for j in range(ncols):
+        if j in pivot_set:
+            continue
+        met = [(row, c) for row, c in zip(reduced, pivots) if row[j]]
+        scale = lcm(*(row[c] for row, c in met))
+        vec = [0] * ncols
+        vec[j] = scale
+        for row, c in met:
+            vec[c] = -row[j] * (scale // row[c])
+        out.append(vec)
+    return out
 
 
 def kernel_basis(mat: Mat) -> Mat:

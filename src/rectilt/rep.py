@@ -25,6 +25,13 @@ tr(g_j o f_i) of the bases f of Hom(x, m) and g of Hom(m, x).  Traces kill
 nilpotents in characteristic 0, so for x indecomposable rank P(x, m) =
 mult_x(m) * dim End(x)/rad.  Multiplicities, add-membership, isomorphism
 classes and witnesses, and the radical of End(M) all read this one rank.
+Multiplicities, and so add-membership and ``Roster.decompose``, and
+``same_class`` need the rank alone: ``_pairing_rank`` reads it off the
+integer kernels of the two intertwining systems, as ``hom_dim`` reads
+the nullity of one, and neither builds a morphism or a ``Fraction``.
+``is_isomorphic`` and ``split_off_summand`` need the maps for their
+witnesses, and rad End(M) is a subspace of End(M), so those build the
+bases (``_trace_pairing``, ``_end_radical``).
 """
 
 from __future__ import annotations
@@ -36,7 +43,8 @@ from math import comb, gcd, isqrt, lcm
 
 from .algebra import BoundQuiverAlgebra, Path
 from .errors import PossibleDivisionAlgebra, RectiltError
-from .linalg import Mat, col_basis, int_kernel, kernel_basis, quotient, rank, rref, solve
+from .linalg import (Mat, _kernel_ints, col_basis, int_kernel, kernel_basis, quotient, rank,
+                     reduce_rows, rref, solve)
 
 
 class Representation:
@@ -312,7 +320,11 @@ def hom_basis(m: Representation, n: Representation) -> list[Morphism]:
 
 
 def hom_dim(m: Representation, n: Representation) -> int:
-    return len(hom_basis(m, n))
+    """dim Hom(m, n): the nullity of the intertwining system; no basis is built."""
+    if m.algebra is not n.algebra:
+        raise ValueError("representations over different algebras")
+    rows, _, total = _intertwining_rows(m, n)
+    return total - len(reduce_rows(rows, total)[1])
 
 
 def _linear_combination(source: Representation, target: Representation, coeffs,
@@ -354,6 +366,31 @@ def _trace_pairing(x: Representation, m: Representation):
     fs = hom_basis(x, m)
     gs = hom_basis(m, x) if fs else []
     return fs, gs, _pairing_matrix(fs, gs)
+
+
+def _pairing_rank(x: Representation, m: Representation) -> int:
+    """rank P(x, m), read off the integer kernels of the two intertwining systems.
+
+    Entry (b, a) of f_v, for f: x -> m, is unknown ``off_xm[v] + b dim x_v +
+    a``, and entry (a, b) of g_v, for g: m -> x, is ``off_mx[v] + a dim m_v +
+    b``; P[f][g] = tr(g o f) sums their products.  Scaling a kernel vector
+    scales a row or column of P, which leaves its rank alone.  When Hom(x,
+    m) = 0 the second kernel is not computed.
+    """
+    rows, _, total = _intertwining_rows(x, m)
+    fs = _kernel_ints(rows, total)
+    if not fs:
+        return 0
+    rows, off_mx, total = _intertwining_rows(m, x)
+    gs = _kernel_ints(rows, total)
+    if not gs:
+        return 0
+    # position k of f's layout reads position perm[k] of g's
+    perm = [off_mx[v] + a * m.dims[v] + b for v in x.algebra.vertices
+            for b in range(m.dims[v]) for a in range(x.dims[v])]
+    gs = [[g[k] for k in perm] for g in gs]
+    pairing = [[sum(p * q for p, q in zip(f, g) if p) for g in gs] for f in fs]
+    return len(reduce_rows(pairing, len(gs))[1])
 
 
 def _end_radical(x: Representation) -> tuple[list[Morphism], Mat]:
@@ -779,7 +816,7 @@ def _unit_rank(x: Representation) -> int:
 
 def _multiplicity(x: Representation, m: Representation, unit: int) -> int:
     """``multiplicity`` given ``unit`` = rank P(x, x)."""
-    whole = rank(_trace_pairing(x, m)[2])
+    whole = _pairing_rank(x, m)
     if unit == 0 or whole % unit:
         raise RectiltError(f"pairing rank {whole} is not a multiple of {unit}: not indecomposable")
     return whole // unit
@@ -787,7 +824,7 @@ def _multiplicity(x: Representation, m: Representation, unit: int) -> int:
 
 def same_class(x: Representation, y: Representation) -> bool:
     """Whether y is isomorphic to the indecomposable x: a summand of equal dimensions."""
-    return x.dims == y.dims and not _trace_pairing(x, y)[2].is_zero()
+    return x.dims == y.dims and _pairing_rank(x, y) > 0
 
 
 def is_isomorphic(m: Representation, n: Representation):

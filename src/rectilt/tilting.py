@@ -25,19 +25,21 @@ from dataclasses import dataclass, field
 
 from .errors import RectiltError
 from .homology import Roster, ext1_dim, proj_dim
-from .linalg import Mat, rank, rref
+from .linalg import Mat, _kernel_ints, reduce_rows, rref
 from .rep import (
     Morphism,
     Representation,
     SES,
     _add_pieces,
     _end_radical,
+    _intertwining_rows,
     _linear_combination,
     basic_summands,
     cokernel,
     decompose,
     direct_sum,
     hom_basis,
+    hom_dim,
     hom_from_projective,
     in_add_of,
     injective,
@@ -214,17 +216,27 @@ def trace(t: Representation, m: Representation) -> tuple[Representation, Morphis
 
 
 def _classify(t: Representation, m: Representation) -> str:
-    """Where m lies: Gen t ("torsion"), t-perp ("free") or "neither", from one Hom basis.
+    """Where m lies: Gen t ("torsion"), t-perp ("free") or "neither", from one integer kernel.
 
-    The trace is the span of the basis's images, so m is torsion when
-    that span has full rank at every vertex.  An empty basis makes m free
-    unless m = 0, which lies in both classes and is called torsion.
+    The trace is the span of the images of a Hom(t, m) basis, so m is
+    torsion when those images have full rank at every vertex.  The
+    kernel vectors of the intertwining system are such a basis, scaled to
+    integers; the columns of their blocks f_v span the image at v.  An
+    empty kernel makes m free unless m = 0, which lies in both classes
+    and is called torsion.  No map is built.
     """
-    basis = hom_basis(t, m)
+    rows, offsets, total = _intertwining_rows(t, m)
+    basis = _kernel_ints(rows, total)
     if not basis:
         return "torsion" if m.is_zero() else "free"
-    spans = _image_spans(basis, m)
-    return "torsion" if all(rank(spans[v]) == m.dims[v] for v in spans) else "neither"
+    for v in m.algebra.vertices:
+        mv, tv = m.dims[v], t.dims[v]
+        base = offsets[v]
+        # column a of f_v holds unknowns base + b * tv + a, b < mv
+        cols = [[f[base + b * tv + a] for b in range(mv)] for f in basis for a in range(tv)]
+        if len(reduce_rows(cols, mv)[1]) < mv:
+            return "neither"
+    return "torsion"
 
 
 def gen_member(t: Representation, m: Representation) -> bool:
@@ -232,7 +244,7 @@ def gen_member(t: Representation, m: Representation) -> bool:
 
 
 def perp_member(t: Representation, m: Representation) -> bool:
-    return not hom_basis(t, m)
+    return hom_dim(t, m) == 0
 
 
 def torsion_decompose(t: Representation, m: Representation) -> SES:
@@ -341,7 +353,7 @@ def is_torsion_pair(tclass, fclass, roster: Roster) -> TorsionPairVerdict:
     fclass = summand_classes(fclass)
     for x in tclass:
         for y in fclass:
-            if hom_basis(x, y):
+            if hom_dim(x, y):
                 return TorsionPairVerdict(
                     False, "nonzero Hom from torsion class to free class",
                     {"from_dims": x.to_json()["dims"], "to_dims": y.to_json()["dims"]})

@@ -2,7 +2,7 @@
 
 Usage, from the repository root:
 
-    python tests/certificate_digest.py
+    python tests/certificate_digest.py [--check]
 
 The digests run over 156 verdicts: two units each of paper_cases (seeds
 0 and 3), tilting_type_a (0 and 5) and ar_roster (0 and 1), built by
@@ -12,11 +12,14 @@ The digests run over 156 verdicts: two units each of paper_cases (seeds
 ``HypothesisFailed``.  The first digest also covers each certificate's
 ``module.to_json()``; the second leaves it out, for a change that alters
 a module's basis on purpose.  Two checkouts whose outputs agree print the
-same two lines.  pytest does not collect this file.
+same two lines.  ``--check`` also compares both lines with the values
+pinned below, names each line that differs, and exits 1 if one does.
+pytest does not collect this file.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import itertools
 import json
@@ -30,6 +33,8 @@ import workloads  # noqa: E402
 
 RUNS = (("paper_cases", (0, 3)), ("tilting_type_a", (0, 5)), ("ar_roster", (0, 1)))
 UNITS = 2
+PINNED = {"with modules": "f892ddd9f646297a1b9ea8ffdfe0b9757b37e4b51bce03ca29dae06024a8203c",
+          "without modules": "167beddbc90ad863fd700624ae5c02bba577b6c73956160f57cb4e3245ae8f1a"}
 
 
 def _dims(mods):
@@ -76,12 +81,22 @@ def digest(records) -> str:
     return hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
 
 
-def main():
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--check", action="store_true",
+                        help="exit 1 unless both lines equal the pinned digests")
+    check = parser.parse_args(argv).check
     records = verdict_records()
+    lines = {"with modules": digest(records),
+             "without modules": digest([[kind, _without_modules(r)] for kind, r in records])}
     print(f"{len(records)} verdicts")
-    print(f"with modules:    {digest(records)}")
-    print(f"without modules: {digest([[kind, _without_modules(r)] for kind, r in records])}")
+    for label, value in lines.items():
+        print(f"{label + ':':<17}{value}")
+    differ = [label for label, value in lines.items() if check and value != PINNED[label]]
+    for label in differ:
+        print(f"{label}: differs from the pinned {PINNED[label]}", file=sys.stderr)
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

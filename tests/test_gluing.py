@@ -443,6 +443,37 @@ def test_realized_extension_maps_onto_m_as_the_hom_solve_does(inner, outer, exte
         assert ses.project.to_json() == extension_projection_reference(pres, cocycle).to_json()
 
 
+# -- rank-only Hom questions build no maps -------------------------------------------
+
+def test_rank_only_answers_build_no_maps(ctx, roster, glued, monkeypatch):
+    spec = GluedPairSpec(ctx, t_inner(ctx), t_outer_case1(ctx))
+    middle = glue_tilting(spec, roster).universal.middle
+    mods = roster.modules
+    units = [roster.unit_rank(i) for i in range(len(mods))]    # _unit_rank builds End(X)
+
+    def answers(m):
+        return ([rep._multiplicity(x, m, unit) for x, unit in zip(mods, units)],
+                [rep.same_class(x, y) for x in mods + [m] for y in mods + [m]],
+                [(rep.hom_dim(x, m), rep.hom_dim(m, x)) for x in mods],
+                [(tilting.gen_member(m, x), tilting.perp_member(m, x)) for x in mods],
+                [(mods.index(x), k) for x, k in roster.decompose(m)])
+
+    cases = [middle, t_case3(roster, glued)]
+    want = [answers(m) for m in cases]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a rank-only answer built a map")
+
+    for target, name in ((rep, "hom_basis"), (tilting, "hom_basis"), (homology, "hom_basis"),
+                         (rep.Morphism, "__init__"), (Mat, "__init__")):
+        monkeypatch.setattr(target, name, refuse)
+    monkeypatch.setattr(Mat, "_trusted", classmethod(refuse))
+    assert [answers(m) for m in cases] == want
+    # the roster's pieces are the nonzero multiplicities, in roster order
+    assert all(len(pieces) > 1 and [k for k in mults if k] == [k for _, k in pieces]
+               for mults, *_, pieces in want)
+
+
 # -- roster data computed once: the Ext^1 table and the functor images ----------------
 
 

@@ -7,8 +7,8 @@ import pytest
 
 from rectilt import linalg
 from rectilt.errors import RectiltError
-from rectilt.linalg import (Mat, _to_int_rows, col_basis, int_kernel, kernel_basis,
-                            quotient, rank, rref, solve)
+from rectilt.linalg import (Mat, _kernel_ints, _to_int_rows, col_basis, int_kernel,
+                            kernel_basis, quotient, rank, rref, solve)
 
 
 def M(rows):
@@ -324,3 +324,20 @@ def test_int_kernel_is_kernel_basis_on_integer_rows():
         else:
             m = _sparse_random_mat(rng, rows, cols)
         assert int_kernel(_to_int_rows(m), m.cols) == kernel_basis(m) == _naive_kernel(m)
+
+
+def test_integer_kernel_vectors_are_int_kernel_scaled_to_integers():
+    # vector j is int_kernel's column j times the integer at its free column j
+    rng = random.Random(10)
+    shapes = [(0, 0), (0, 3), (3, 0), (1, 1)] + [(rng.randint(0, 6), rng.randint(0, 6))
+                                                  for _ in range(60)]
+    for rows, cols in shapes:
+        m = _sparse_random_mat(rng, rows, cols)
+        basis = int_kernel(_to_int_rows(m), cols)
+        vecs = _kernel_ints(_to_int_rows(m), cols)
+        assert len(vecs) == basis.cols
+        for k, vec in enumerate(vecs):
+            assert all(type(x) is int for x in vec)
+            free = next(j for j in range(cols) if basis[j, k] == 1 and vec[j])
+            assert vec[free] > 0
+            assert [Fraction(x, vec[free]) for x in vec] == basis.col(k)

@@ -15,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rectilt import rep as rep_module
-from rectilt.algebra import Quiver, build_algebra
+from rectilt import tilting as tilting_module
+from rectilt.algebra import Quiver, Relation, build_algebra
 from rectilt.errors import PossibleDivisionAlgebra, RectiltError
 from rectilt.homology import enumerate_roster, projective_cover, tensor_dim_data
 from rectilt.linalg import Mat, kernel_basis, quotient, rank, solve
@@ -618,6 +619,62 @@ def test_subrep_inclusion_is_a_validated_morphism(rosters):
                 quot, proj = cokernel(f)
                 assert Morphism(m, quot, proj.components).components == proj.components
     assert proper >= 10
+
+
+# -- the integer pairing and image ranks where End has a radical ------------------------
+
+def _jordan(alg, n):
+    """The n-dimensional module of k[x]/(x^3) on which x is one nilpotent Jordan block."""
+    return Representation(alg, {"1": n}, {"x": Mat(n, n, [[int(c == r + 1) for c in range(n)]
+                                                          for r in range(n)])})
+
+
+def _truncated_polynomials():
+    """k[x]/(x^3) with J1, J2, J3, J3 + J3, J1 + J2 + J3 and a rational conjugate of the latter."""
+    alg = build_algebra(Quiver(["1"], [("x", "1", "1")]), [Relation([(1, ("x", "x", "x"))])])
+    j1, j2, j3 = (_jordan(alg, n) for n in (1, 2, 3))
+    mixed = direct_sum(alg, [j1, j2, j3])
+    return [j1, j2, j3, direct_sum(alg, [j3, j3]), mixed,
+            _rational_conjugate(mixed, random.Random(5))]
+
+
+def _cyclic_nakayama():
+    """1 <-> 2 with aba = bab = 0: P(1), P(2), S(1), S(2), I(1) and two sums."""
+    alg = build_algebra(Quiver(["1", "2"], [("a", "1", "2"), ("b", "2", "1")]),
+                        [Relation([(1, ("a", "b", "a"))]), Relation([(1, ("b", "a", "b"))])])
+    p1, p2, s1, s2, i1 = (projective(alg, "1"), projective(alg, "2"), simple(alg, "1"),
+                          simple(alg, "2"), injective(alg, "1"))
+    return [p1, p2, s1, s2, i1, direct_sum(alg, [p1, p1, s2]),
+            _rational_conjugate(direct_sum(alg, [p2, i1]), random.Random(6))]
+
+
+def _reference_classify(t, m):
+    """``_classify`` from a Hom basis of maps: the rank of their images at each vertex."""
+    basis = hom_basis(t, m)
+    if not basis:
+        return "torsion" if m.is_zero() else "free"
+    spans = tilting_module._image_spans(basis, m)
+    return "torsion" if all(rank(spans[v]) == m.dims[v] for v in spans) else "neither"
+
+
+@pytest.mark.parametrize("mods", [_truncated_polynomials, _cyclic_nakayama],
+                         ids=["k[x]/x^3", "nakayama"])
+def test_integer_ranks_agree_with_the_maps_on_radical_endomorphisms(mods):
+    # thin modules of directed algebras have no radical maps, so a transposed
+    # layout in the pairing would pass every roster test; these algebras do not
+    mods = mods()
+    assert any(len(hom_basis(x, x)) > rep_module._unit_rank(x) for x in mods)
+    wrong = []
+    for x in mods:
+        for m in mods:
+            want = rank(rep_module._pairing_matrix(hom_basis(x, m), hom_basis(m, x)))
+            if rep_module._pairing_rank(x, m) != want:
+                wrong.append(("pairing", x.dim_vector(), m.dim_vector(), want))
+            want = _reference_classify(x, m)
+            if tilting_module._classify(x, m) != want:
+                wrong.append(("classify", x.dim_vector(), m.dim_vector(), want))
+            assert hom_dim(x, m) == len(hom_basis(x, m))
+    assert not wrong, wrong
 
 
 # -- sympy is imported only for a factor of degree >= 2 -----------------------------------
