@@ -39,12 +39,57 @@ from __future__ import annotations
 import json
 import random
 from fractions import Fraction
+from itertools import chain
 from math import comb, gcd, isqrt, lcm
 
 from .algebra import BoundQuiverAlgebra, Path
 from .errors import PossibleDivisionAlgebra, RectiltError
-from .linalg import (Mat, _kernel_ints, col_basis, int_kernel, kernel_basis, quotient, rank,
-                     reduce_rows, rref, solve)
+from .linalg import (_ONE, _ZERO, Mat, _kernel_ints, col_basis, int_kernel, kernel_basis,
+                     quotient, rank, reduce_rows, rref, solve)
+
+
+# Modules are never mutated, so modules over one algebra share what is
+# equal in them: every module shares its ``dims`` dict with the modules of
+# its dimension vector, and a direct sum whose every map is a 0/1 matrix
+# (every entry the shared ``Fraction`` 0 or 1: sums of thin modules, say)
+# shares those matrices and its ``maps`` dict with the equal sums built
+# before.  A caller that keeps many such sums keeps little more than their
+# ``Representation`` objects.  The tables live on the algebra and go with
+# it; each stops taking entries at ``_SHARED_MAX``.
+_SHARED_MAX = 4096
+_IDS_01 = frozenset((id(_ZERO), id(_ONE)))
+
+
+def _shared_tables(algebra) -> tuple[dict, dict, dict]:
+    """The algebra's tables of shared dims dicts, 0/1 matrices and maps dicts."""
+    tables = algebra.__dict__.get("_shared_tables")
+    if tables is None:
+        tables = algebra.__dict__["_shared_tables"] = ({}, {}, {})
+    return tables
+
+
+def _kept(table: dict, key, value):
+    """The value kept under key, keeping ``value`` there if there is none."""
+    kept = table.get(key)
+    if kept is None:
+        kept = value
+        if len(table) < _SHARED_MAX:
+            table[key] = value
+    return kept
+
+
+def _shared_maps(algebra, maps: dict) -> dict:
+    """The kept ``maps`` dict equal to maps if every map is 0/1; maps otherwise."""
+    _, mats, dicts = _shared_tables(algebra)
+    kept = {}
+    for name, m in maps.items():
+        if not _IDS_01.issuperset(map(id, chain.from_iterable(m.entries))):
+            return maps
+        ids = tuple(map(id, chain.from_iterable(m.entries)))
+        kept[name] = _kept(mats, (m.rows, m.cols, ids), m)
+    # a kept dict holds its matrices, so their ids stay theirs; every maps
+    # dict lists the algebra's arrows in one order
+    return _kept(dicts, tuple(map(id, kept.values())), kept)
 
 
 class Representation:
@@ -52,9 +97,11 @@ class Representation:
 
     def __init__(self, algebra: BoundQuiverAlgebra, dims, maps, validate: bool = True):
         self.algebra = algebra
-        self.dims = {v: int(dims.get(v, 0)) for v in algebra.vertices}
-        if any(d < 0 for d in self.dims.values()):
+        own = {v: int(dims.get(v, 0)) for v in algebra.vertices}
+        key = tuple(own.values())
+        if min(key, default=0) < 0:
             raise ValueError("negative dimension")
+        self.dims = _kept(_shared_tables(algebra)[0], key, own)
         full_maps = {}
         for a in algebra.arrows:
             m = maps.get(a.name)
@@ -408,12 +455,18 @@ def _end_radical(x: Representation) -> tuple[list[Morphism], Mat]:
 
 
 def direct_sum(algebra: BoundQuiverAlgebra, mods) -> Representation:
-    """Block-diagonal sum, summands stacked in the order given."""
+    """Block-diagonal sum, summands stacked in the order given.
+
+    A sum of 0/1 matrices shares its maps with the equal sums before it
+    (``_shared_maps``).
+    """
     mods = list(mods)
     dims = {v: sum(m.dims[v] for m in mods) for v in algebra.vertices}
     maps = {a.name: Mat.block_diag([m.maps[a.name] for m in mods])
             for a in algebra.arrows}
-    return Representation(algebra, dims, maps, validate=False)
+    s = Representation(algebra, dims, maps, validate=False)
+    s.maps = _shared_maps(algebra, s.maps)
+    return s
 
 
 def subrep_from_subspaces(m: Representation, spans: dict) -> tuple[Representation, Morphism]:

@@ -120,6 +120,43 @@ def test_direct_sum_dims(inner, outer):
     assert t2.dim_vector() == (1, 2, 2)
 
 
+def _linear_a3():
+    return build_algebra(Quiver(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")]), [])
+
+
+def _interval(alg, lo, hi, scale=None):
+    dims = {v: int(lo <= int(v) <= hi) for v in alg.vertices}
+    maps = {a.name: Mat.identity(1) if scale is None else Mat.from_rows([[scale]])
+            for a in alg.arrows if lo <= int(a.source) and int(a.target) <= hi}
+    return Representation(alg, dims, maps)
+
+
+def test_equal_sums_of_thin_modules_share_their_parts():
+    # a caller that keeps many sums of interval modules keeps one copy of their data
+    alg = _linear_a3()
+    s1, s2 = (direct_sum(alg, [_interval(alg, 1, 3), _interval(alg, 2, 2)]) for _ in range(2))
+    assert s1 is not s2 and s1 == s2
+    assert s1.dims is s2.dims and s1.maps is s2.maps
+    other = direct_sum(alg, [_interval(alg, 1, 2), _interval(alg, 2, 3)])
+    assert other != s1 and other.dim_vector() == s1.dim_vector()
+    assert other.dims is s1.dims and other.maps is not s1.maps
+    # entries other than the shared 0 and 1 keep their own maps, equal or not
+    w1, w2 = (direct_sum(alg, [_interval(alg, 1, 3, scale=2)]) for _ in range(2))
+    assert w1 == w2 and w1.maps is not w2.maps
+    # the tables belong to the algebra, and stop taking entries at the bound
+    again = _linear_a3()
+    s3 = direct_sum(again, [_interval(again, 1, 3), _interval(again, 2, 2)])
+    assert s3.maps == s1.maps and s3.maps is not s1.maps and s3 != s1
+
+
+def test_sharing_stops_at_the_table_bound(monkeypatch):
+    monkeypatch.setattr(rep_module, "_SHARED_MAX", 0)
+    alg = _linear_a3()
+    s1, s2 = (direct_sum(alg, [_interval(alg, 1, 3), _interval(alg, 2, 2)]) for _ in range(2))
+    assert s1 == s2 and s1.dims is not s2.dims and s1.maps is not s2.maps
+    assert all(not table for table in alg._shared_tables)
+
+
 # -- kernel / cokernel / image -------------------------------------------
 
 def test_kernel_of_identity_is_zero(inner):
