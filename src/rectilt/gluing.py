@@ -19,12 +19,14 @@ torsion and free classes through the side's restriction functors, always
 certifies tilting-ness of the outer restriction, and reports which
 closure hypotheses (and hence which partition equalities) survive.
 
-Both directions build a basic module from classes they know.  When the
-roster holds every class, the module is the sum of those entries, built
-and certified in one call (``_certify_roster_sum``) that reads its (T1),
-(T2) and, once it is tilting, its torsion partition off the roster's
-tables.  Otherwise it is the sum of the classes themselves, certified
-and partitioned by trace (``_certify_by_trace``).
+Both directions name every class by its roster's class index
+(``Roster._class_index``): an entry's index, or, for a class that the
+entries lack, an index past them.  They build a basic module as the sum of
+the classes at their indices, certified in one call
+(``_certify_roster_sum``) that reads its (T1), (T2) and, once it is
+tilting, its torsion partition off the roster's tables, and they compare
+classes by index.  An index past the entries is no entry's, just as no
+entry is isomorphic to a class that the entries lack.
 
 What does not depend on the tilting module is computed once and kept on
 the object it belongs to:
@@ -37,14 +39,13 @@ the object it belongs to:
     and, Ext^1, by the Ext-projectivity check;
   - rank P(X, X) of each entry X (``Roster.unit_rank``), read by
     ``Roster.decompose`` and by the restriction's closure check;
-  - i^*X, j^*X and i^!X of each entry X, the summand classes of these
-    images and the indices of those classes in the part's roster, per
-    context (``_images``), read by the partition check and by the
-    restricted classes;
-  - the index of j_!Y for each entry Y of the outer roster, per context
-    (``_lifted_index``);
+  - i^*X, j^*X and i^!X of each entry X and the part roster's class
+    indices of these images, per context (``_images``), read by the
+    partition check and by the restricted classes;
+  - the class index of j_!Y for each class Y of the outer roster, per
+    context (``_lifted_index``);
 - on the frozen ``GluedPairSpec``: the tilting certificates of its inputs
-  T' and T'' and the part-roster indices of their classes.
+  T' and T'' and the part rosters' class indices of their classes.
 
 T' and T'' are tilting once the glue gets past its hypotheses, so Gen and
 perp of each side are read off the part rosters' Ext^1 and Hom tables
@@ -72,12 +73,9 @@ from .rep import (
     Representation,
     SES,
     _add_pieces,
-    _same_classes,
-    basic_summands,
     decompose,
     direct_sum,
     injective,
-    same_class,
     summand_classes,
 )
 from .recollement import (
@@ -92,12 +90,9 @@ from .recollement import (
     j_star_upper,
 )
 from .tilting import (
-    RosterPartition,
     TiltingCertificate,
     _certify_roster_sum,
-    _certify_tilting,
     gen_member,
-    is_partial_tilting,
     is_tilting,
     partition_roster,
     perp_member,
@@ -112,74 +107,65 @@ def _roster(alg) -> Roster:
     return cache["_roster"]
 
 
-def _images(ctx: RecollementContext, roster: Roster, name: str) -> tuple[list, dict, dict]:
-    """(images, classes, indices) of the roster's entries under ctx's functor ``name``.
+def _images(ctx: RecollementContext, roster: Roster, name: str) -> tuple[list, dict]:
+    """(images, indices) of the roster's entries under ctx's functor ``name``.
 
     ``name`` is "i*", "j*" or "i!".  The images depend on the split and the
     roster only, so they are built once and held on the roster, keyed by
-    (ctx, name); they go with the roster.  ``classes`` maps an entry's index
-    to one indecomposable per summand class of its image, and ``indices``
-    maps it to the indices of those classes in the part's roster; both are
-    filled on first use (``_image_classes``, ``_image_indices``).
+    (ctx, name); they go with the roster.  ``indices`` maps an entry's
+    index to the part roster's class indices of its image, filled on first
+    use (``_image_indices``).
     """
     key = (ctx, name)
     if key not in roster._images:
-        roster._images[key] = ([apply_functor(ctx, name, m) for m in roster.modules], {}, {})
+        roster._images[key] = ([apply_functor(ctx, name, m) for m in roster.modules], {})
     return roster._images[key]
 
 
-def _pieces(roster: Roster, m: Representation) -> list[tuple[Representation, int]]:
-    """``decompose(m)``, read off the roster when the roster accounts for m."""
+def _classes(roster: Roster, m: Representation) -> list[int]:
+    """The roster's class index of each summand class of m, distinct.
+
+    The classes are read off the roster when it accounts for m, and come
+    from ``decompose(m)`` otherwise.
+    """
     found = roster.decompose(m)
-    return decompose(m) if found is None else found
+    return [roster._class_index(p) for p, _ in (decompose(m) if found is None else found)]
 
 
-def _missing_class(a, b) -> dict:
-    """The first class of a that b lacks, else of b that a lacks; a and b must differ."""
+def _missing_class(roster: Roster, a, b) -> dict:
+    """The first class of a that b lacks, else of b that a lacks; a and b are class indices.
+
+    First means in canonical-key order.  a and b must differ.
+    """
     for have, lack, missing_from in ((a, b, "glued"), (b, a, "ext_projectives")):
-        for x in have:
-            if not any(same_class(x, y) for y in lack):
-                return {"class_dims": x.to_json()["dims"], "missing_from": missing_from}
+        missing = [roster._class(i) for i in have if i not in lack]
+        if missing:
+            first = min(missing, key=Representation.canonical_key)
+            return {"class_dims": first.to_json()["dims"], "missing_from": missing_from}
     raise ValueError("the class lists name the same classes")
 
 
-def _image_classes(ctx: RecollementContext, roster: Roster, name: str,
-                   indices) -> list[Representation]:
-    """``summand_classes`` of the ``name`` images of the roster entries at ``indices``."""
-    images, classes, _ = _images(ctx, roster, name)
-    for i in indices:
-        if i not in classes:
-            classes[i] = [p for p, _ in decompose(images[i])]
-    return basic_summands([p for i in indices for p in classes[i]])
-
-
 def _image_indices(ctx: RecollementContext, roster: Roster, name: str, i: int) -> tuple:
-    """The part-roster indices of the summand classes of entry i's ``name`` image.
-
-    An index is None for a class that the part's roster does not hold.
-    """
-    indices = _images(ctx, roster, name)[2]
+    """The part roster's class indices of the summand classes of entry i's ``name`` image."""
+    images, indices = _images(ctx, roster, name)
     if i not in indices:
         part = _roster(ctx.outer_algebra if name == "j*" else ctx.inner_algebra)
-        indices[i] = tuple(map(part.index, _image_classes(ctx, roster, name, [i])))
+        indices[i] = tuple(_classes(part, images[i]))
     return indices[i]
 
 
-def _lifted_index(ctx: RecollementContext, roster: Roster, k: int) -> int | None:
-    """``roster.index`` of j_!Y for the outer roster's entry Y_k, held in ``roster._images``."""
+def _lifted_index(ctx: RecollementContext, roster: Roster, k: int) -> int:
+    """The class index of j_!Y for the outer roster's class Y_k, held in ``roster._images``."""
     held = roster._images.setdefault((ctx, "j!"), {})
     if k not in held:
-        held[k] = roster.index(j_shriek(ctx, _roster(ctx.outer_algebra).modules[k]))
+        held[k] = roster._class_index(j_shriek(ctx, _roster(ctx.outer_algebra)._class(k)))
     return held[k]
 
 
-def _certify_by_trace(roster: Roster, classes: list) -> tuple[TiltingCertificate, RosterPartition]:
-    """``_certify_roster_sum`` for the basic sum of ``classes``, when the roster lacks one of them.
-
-    (T1) and (T2) are computed on the sum, and the partition is traced.
-    """
-    t = direct_sum(roster.algebra, classes)
-    return _certify_tilting(is_partial_tilting(t), classes), partition_roster(t, roster)
+def _check_roster(ctx: RecollementContext, roster: Roster | None):
+    """ValueError unless ``roster`` is None or a roster of ctx's whole algebra."""
+    if roster is not None and roster.algebra is not ctx.algebra:
+        raise ValueError("roster must be a roster of the split's whole algebra")
 
 
 @dataclass(frozen=True)
@@ -211,13 +197,15 @@ class GluedPairSpec:
 
     @cached_property
     def inner_indices(self) -> tuple:
-        """The inner roster's index of each class of ``inner_certificate``, None if it has none."""
-        return tuple(map(_roster(self.ctx.inner_algebra).index, self.inner_certificate.classes))
+        """The inner roster's class index of each class of ``inner_certificate``."""
+        return tuple(map(_roster(self.ctx.inner_algebra)._class_index,
+                         self.inner_certificate.classes))
 
     @cached_property
     def outer_indices(self) -> tuple:
-        """The outer roster's index of each class of ``outer_certificate``, None if it has none."""
-        return tuple(map(_roster(self.ctx.outer_algebra).index, self.outer_certificate.classes))
+        """The outer roster's class index of each class of ``outer_certificate``."""
+        return tuple(map(_roster(self.ctx.outer_algebra)._class_index,
+                         self.outer_certificate.classes))
 
 
 def glued_membership(spec: GluedPairSpec, m: Representation) -> str:
@@ -233,8 +221,8 @@ def _glued_class(spec: GluedPairSpec, top: Representation, outer: Representation
                  sub: Representation) -> str:
     """``glued_membership`` of a module M given i^*M, j^*M and i^!M, by trace and Hom.
 
-    It is the fallback of ``_read_glued_class`` and the reference that the
-    tests hold the table reads to.
+    It is the reference that the tests hold the table reads of
+    ``_read_glued_class`` to.
     """
     if gen_member(spec.inner_tilting, top) and gen_member(spec.outer_tilting, outer):
         return "torsion"
@@ -250,16 +238,13 @@ def _read_glued_class(spec: GluedPairSpec, roster: Roster, i: int) -> str:
     conditions split over the summand classes on each side.  X_i is torsion
     when Ext^1 vanishes from every class of T' to every class of i^*X_i and
     from every class of T'' to every class of j^*X_i; free when Hom vanishes
-    in the same way on i^!X_i and j^*X_i.  A class that a part roster does
-    not hold sends X_i to ``_glued_class``.
+    in the same way on i^!X_i and j^*X_i.  A class that a part roster's
+    entries lack is read at its index past them.
     """
     ctx = spec.ctx
     inner, outer = _roster(ctx.inner_algebra), _roster(ctx.outer_algebra)
     t_in, t_out = spec.inner_indices, spec.outer_indices
     top, mid, sub = (_image_indices(ctx, roster, name, i) for name in ("i*", "j*", "i!"))
-    if None in t_in + t_out + top + mid + sub:
-        return _glued_class(spec, *(_images(ctx, roster, name)[0][i]
-                                    for name in ("i*", "j*", "i!")))
     if (all(inner.ext1_dim(a, b) == 0 for a in t_in for b in top)
             and all(outer.ext1_dim(a, b) == 0 for a in t_out for b in mid)):
         return "torsion"
@@ -327,9 +312,10 @@ def glue_tilting(spec: GluedPairSpec, roster: Roster | None = None) -> GlueCerti
     raise HypothesisFailed naming the culprit; a Tor failure names the
     first outer simple with nonzero Tor_1 and its dimension.  The inputs'
     certificates are the spec's own, so a spec glued again certifies
-    nothing.
+    nothing.  A roster over another algebra raises ValueError.
     """
     ctx = spec.ctx
+    _check_roster(ctx, roster)
     for w, dim in check_exactness(ctx).j_shriek_tor.items():
         if dim:
             raise HypothesisFailed("j_!", f"Tor_1 of the crossing bimodule has dimension {dim} "
@@ -352,42 +338,33 @@ def glue_tilting(spec: GluedPairSpec, roster: Roster | None = None) -> GlueCerti
     ext_space = ext1(lifted_inner, lifted_outer)
     ses = universal_extension(ext_space)
     middle = ses.middle
-    pieces = [p for p, _ in _pieces(roster, middle)]
-    at_middle = [roster.index(p) for p in pieces]
-    at_lifted = [roster.index(j_shriek(ctx, x)) if k is None else _lifted_index(ctx, roster, k)
-                 for k, x in zip(spec.outer_indices, outer_cert.classes)]
-    at_summands = at_middle + at_lifted
+    at_middle = _classes(roster, middle)
+    at_lifted = [_lifted_index(ctx, roster, k) for k in spec.outer_indices]
     # Ext^1(sum M_i, sum Y_j) is the sum of the Ext^1(M_i, Y_j); its dimension is
     # computed only when the table does not say zero
     universal_dim = 0
-    if None in at_summands or any(roster.ext1_dim(i, j) for i in at_middle for j in at_lifted):
+    if any(roster.ext1_dim(i, j) for i in at_middle for j in at_lifted):
         universal_dim = ext1_dim(middle, lifted_outer)
     universal_ok = universal_dim == 0
 
-    if None in at_summands:
-        tilt_cert, part = _certify_by_trace(roster, basic_summands(
-            [j_shriek(ctx, x) for x in outer_cert.classes] + pieces))
-    else:
-        tilt_cert, part = _certify_roster_sum(roster, sorted(set(at_summands)))
-    glued, summands = tilt_cert.module, tilt_cert.classes
+    at = sorted(set(at_middle + at_lifted))
+    tilt_cert, part = _certify_roster_sum(roster, at)
     got = {**dict.fromkeys(part.torsion, "torsion"), **dict.fromkeys(part.free, "free"),
            **dict.fromkeys(part.neither, "neither")}
     witness = None
-    mods = roster.modules
-    for i, m in enumerate(mods):
+    for i, m in enumerate(roster.modules):
         glued_as = _read_glued_class(spec, roster, i)
         if glued_as != got[i]:
             witness = {"module_dims": m.to_json()["dims"], "glued": glued_as, "trace": got[i]}
             break
     torsion = part.torsion
     projs = [i for i in torsion if all(roster.ext1_vanishes(i, j) for j in torsion)]
-    # the entries are pairwise non-isomorphic: classes whose entries are known compare by index
-    projs_match = (projs == sorted(set(at_summands)) if None not in at_summands
-                   else _same_classes([mods[i] for i in projs], summands))
+    # classes compare by index: an index past the entries is no entry's
+    projs_match = projs == at
 
     return GlueCertificate(
-        module=glued,
-        summands=summands,
+        module=tilt_cert.module,
+        summands=tilt_cert.classes,
         ext_dimension=ext_space.dimension,
         universal=ses,
         universal_ext_vanishes=universal_ok,
@@ -396,8 +373,7 @@ def glue_tilting(spec: GluedPairSpec, roster: Roster | None = None) -> GlueCerti
         partition_matches_glued=witness is None,
         ext_projectives_match=projs_match,
         partition_witness=witness,
-        ext_projectives_witness=None if projs_match else _missing_class(
-            basic_summands([mods[i] for i in projs]), summands),
+        ext_projectives_witness=None if projs_match else _missing_class(roster, projs, at),
         universal_ext_witness=None if universal_ok else {"ext1_dim": universal_dim},
     )
 
@@ -439,6 +415,7 @@ def _restrict(ctx: RecollementContext, t: Representation, roster: Roster | None,
     restricted classes are the torsion pair that the restricted module
     induces on its own algebra's roster, with no module outside both.
     """
+    _check_roster(ctx, roster)
     left = side == "left"
     image = (i_upper_star if left else j_star_upper)(ctx, t)
     alg = ctx.inner_algebra if left else ctx.outer_algebra
@@ -452,18 +429,15 @@ def _restrict(ctx: RecollementContext, t: Representation, roster: Roster | None,
             return RestrictionResult(side, direct_sum(alg, summands), summands,
                                      None, False, hyp, None)
     own = _roster(alg)
-    pieces = [p for p, _ in _pieces(own, image)]
-    at = [own.index(x) for x in pieces]
-    cert, induced = (_certify_by_trace(own, pieces) if None in at
-                     else _certify_roster_sum(own, sorted(at)))
+    cert, induced = _certify_roster_sum(own, sorted(_classes(own, image)))
     if roster is None:
         roster = _roster(ctx.algebra)
     part = partition_roster(t, roster)
-    mods, own_mods = roster.modules, own.modules
     if not left:
         hyp = {"torsion_closed": True, "torsion_witness": None,
                "free_closed": True, "free_witness": None,
                "j_star_lower_exact": True}
+        mods = roster.modules
         for name, picked in (("free", part.free), ("torsion", part.torsion)):
             cls = [mods[i] for i in picked]
             for m in cls:
@@ -474,19 +448,14 @@ def _restrict(ctx: RecollementContext, t: Representation, roster: Roster | None,
                     break
         hyp["holds"] = hyp["torsion_closed"] and hyp["free_closed"]
     tname, fname = ("i*", "i!") if left else ("j*", "j*")
-    tclass = _image_classes(ctx, roster, tname, part.torsion)
-    fclass = _image_classes(ctx, roster, fname, part.free)
-    # classes whose part-roster indices are all held compare by index set
+    # the part roster's class indices of the images of the torsion and the free entries
     held = [{k for i in picked for k in _image_indices(ctx, roster, name, i)}
             for name, picked in ((tname, part.torsion), (fname, part.free))]
-    if None in held[0] | held[1]:
-        equal = (not induced.neither
-                 and _same_classes(tclass, [own_mods[i] for i in induced.torsion])
-                 and _same_classes(fclass, [own_mods[i] for i in induced.free]))
-    else:
-        equal = not induced.neither and held == [set(induced.torsion), set(induced.free)]
+    equal = not induced.neither and held == [set(induced.torsion), set(induced.free)]
+    restricted = tuple(sorted(map(own._class, ks), key=Representation.canonical_key)
+                       for ks in held)
     return RestrictionResult(side, cert.module, cert.classes, cert, True, hyp, equal,
-                             (tclass, fclass))
+                             restricted)
 
 
 def restrict_right(ctx: RecollementContext, t: Representation,

@@ -42,6 +42,7 @@ from .rep import (
     dual,
     flatten_morphism,
     hom_basis,
+    hom_dim,
     hom_from_projective,
     identity_morphism,
     kernel,
@@ -457,23 +458,29 @@ class RosterEntry:
 class Roster:
     """The indecomposables of an algebra, with what depends on nothing else.
 
-    Data derived from the entries alone is filled on first use and held
-    here, for the life of the roster, however many modules are checked
-    against it.  The tables hold only ints and bools:
+    Each summand class has an index: an entry's is its place in
+    ``entries``, and a class that no entry holds gets the next index past
+    them when it is first met (``_class_index``; ``_class`` inverts it).
+    Those classes are kept in ``_extra``, which stays empty on a closed
+    roster.  Data derived from the classes alone is filled on first use
+    and held here, for the life of the roster, however many modules are
+    checked against it.  The tables hold only ints and bools, and take
+    any class index:
 
-    - ``ext1_dim``: dim Ext^1 per ordered pair of entries, and
-      ``ext1_vanishes``, whether it is zero;
-    - ``pd``: the projective dimension per entry;
-    - ``hom_vanishes``: whether Hom vanishes, per ordered pair of entries;
-    - ``unit_rank``: rank P(X, X) per entry, which ``decompose`` reads.
+    - ``ext1_dim``: dim Ext^1 per ordered pair, and ``ext1_vanishes``,
+      whether it is zero;
+    - ``pd``: the projective dimension per class;
+    - ``hom_vanishes``: whether Hom vanishes, per ordered pair;
+    - ``unit_rank``: rank P(X, X) per class, which ``decompose`` reads.
 
-    ``index`` finds a module's entry through a map from dimension vectors
-    to entry indices, also filled on first use.  ``_images`` holds the
-    entries' images under a recollement functor, the summand classes of
-    those images and the indices of those classes in the part's roster,
-    keyed by (context, functor name) and filled by ``gluing``.  Its key
-    (context, "j!") holds, for the outer roster's entries Y, the index
-    here of j_!Y.  A context compares by identity.
+    ``index``, ``decompose``, ``modules`` and ``to_json`` cover the entries
+    only.  ``index`` finds a module's entry through a map from dimension
+    vectors to entry indices, also filled on first use.  ``_images`` holds
+    the entries' images under a recollement functor and the part roster's
+    class indices of those images, keyed by (context, functor name) and
+    filled by ``gluing``.  Its key (context, "j!") holds, for the outer
+    roster's classes Y, the class index here of j_!Y.  A context compares
+    by identity.
 
     None of it is compared or serialized.
     """
@@ -485,37 +492,56 @@ class Roster:
     _unit: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _at_dims: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _images: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _extra: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     @property
     def modules(self) -> list[Representation]:
         return [e.module for e in self.entries]
 
+    def _class(self, i: int) -> Representation:
+        """The module of class index i: an entry, or a class met past the entries."""
+        n = len(self.entries)
+        return self.entries[i].module if i < n else self._extra[i - n]
+
+    def _class_index(self, m: Representation) -> int:
+        """The class index of the indecomposable m; ValueError if m is over another algebra."""
+        if m.algebra is not self.algebra:
+            raise ValueError("the module is not over the roster's algebra")
+        i = self.index(m)
+        if i is not None:
+            return i
+        for k, x in enumerate(self._extra):
+            if same_class(x, m):
+                return len(self.entries) + k
+        self._extra.append(m)
+        return len(self.entries) + len(self._extra) - 1
+
     def ext1_dim(self, i: int, j: int) -> int:
-        """dim Ext^1(X_i, X_j) for the entries X_i and X_j."""
+        """dim Ext^1(X_i, X_j) for the classes X_i and X_j."""
         if (i, j) not in self._ext1:
-            self._ext1[i, j] = ext1_dim(self.entries[i].module, self.entries[j].module)
+            self._ext1[i, j] = ext1_dim(self._class(i), self._class(j))
         return self._ext1[i, j]
 
     def ext1_vanishes(self, i: int, j: int) -> bool:
-        """Whether Ext^1(X_i, X_j) = 0 for the entries X_i and X_j."""
+        """Whether Ext^1(X_i, X_j) = 0 for the classes X_i and X_j."""
         return self.ext1_dim(i, j) == 0
 
     def pd(self, i: int) -> int:
-        """The projective dimension of the entry X_i."""
+        """The projective dimension of the class X_i."""
         if i not in self._pd:
-            self._pd[i] = proj_dim(self.entries[i].module)
+            self._pd[i] = proj_dim(self._class(i))
         return self._pd[i]
 
     def hom_vanishes(self, i: int, j: int) -> bool:
-        """Whether Hom(X_i, X_j) = 0 for the entries X_i and X_j."""
+        """Whether Hom(X_i, X_j) = 0 for the classes X_i and X_j."""
         if (i, j) not in self._hom0:
-            self._hom0[i, j] = not hom_basis(self.entries[i].module, self.entries[j].module)
+            self._hom0[i, j] = hom_dim(self._class(i), self._class(j)) == 0
         return self._hom0[i, j]
 
     def unit_rank(self, i: int) -> int:
-        """rank P(X_i, X_i) = dim End(X_i)/rad for the entry X_i."""
+        """rank P(X_i, X_i) = dim End(X_i)/rad for the class X_i."""
         if i not in self._unit:
-            self._unit[i] = _unit_rank(self.entries[i].module)
+            self._unit[i] = _unit_rank(self._class(i))
         return self._unit[i]
 
     def index(self, m: Representation) -> int | None:

@@ -28,7 +28,7 @@ from functools import cached_property
 from .algebra import BoundQuiverAlgebra, Quiver, build_algebra
 from .errors import NotTriangular, RectiltError
 from .homology import tensor_dim_data, tensor_map_between, tor1_right
-from .linalg import Mat, col_basis, solve
+from .linalg import Mat, solve
 from .rep import (
     Morphism,
     Representation,
@@ -127,19 +127,15 @@ def j_star_lower(ctx: RecollementContext, y: Representation) -> Representation:
 
 
 def i_upper_star(ctx: RecollementContext, m: Representation) -> Representation:
-    """Quotient by the submodule generated by the outer components."""
+    """Quotient by the submodule generated by the outer components.
+
+    At v that submodule is spanned by the images of the path classes from
+    the outer vertices to v, the trivial ones included.
+    """
     alg = m.algebra
-    spans = {v: (Mat.identity(m.dims[v]) if v in ctx._outer_set
-                 else Mat.zeros(m.dims[v], 0)) for v in alg.vertices}
-    changed = True
-    while changed:
-        changed = False
-        for a in alg.arrows:
-            pushed = m.maps[a.name] @ spans[a.source]
-            joined = col_basis(Mat.hstack([spans[a.target], pushed]))
-            if joined.cols != spans[a.target].cols:
-                spans[a.target] = joined
-                changed = True
+    spans = {v: Mat.hstack([m.eval_path(alg.basis[b]) for w in ctx.outer_vertices
+                            for b in alg.paths_between(w, v)], rows=m.dims[v])
+             for v in alg.vertices}
     quot, _ = quotient_rep(m, spans)
     return i_shriek(ctx, quot)
 
@@ -260,13 +256,11 @@ def to_triple(ctx: RecollementContext, m: Representation):
     y = j_star_upper(ctx, m)
     comps = {}
     for v in ctx.inner_vertices:
-        _, paths, (_, proj, offsets, total) = _crossing_lift(ctx, y, v)
-        raw = [None] * total            # row of (path n) (x) y_q: the action of n on y_q
+        _, paths, (_, proj, _, total) = _crossing_lift(ctx, y, v)
+        raw = []                        # row of (path n) (x) y_q: the action of n on y_q
         for w, ns in paths.items():
-            for k, n in enumerate(ns):
-                action = m.eval_path(ctx.algebra.basis[n])
-                for q in range(y.dims[w]):
-                    raw[offsets[w] + q * len(ns) + k] = action.col(q)
+            actions = [m.eval_path(ctx.algebra.basis[n]) for n in ns]
+            raw += [action.col(q) for q in range(y.dims[w]) for action in actions]
         sol = solve(proj.transpose(), Mat(total, m.dims[v], raw))
         if sol is None:
             raise RectiltError("action map does not factor through the balancing quotient")

@@ -295,18 +295,20 @@ def partition_roster(t: Representation, roster: Roster) -> RosterPartition:
 
 
 def _certify_roster_sum(roster: Roster, indices) -> tuple[TiltingCertificate, RosterPartition]:
-    """The tilting certificate of T, the sum of the entries at ``indices``, and T's partition.
+    """The tilting certificate of T, the sum of the classes at ``indices``, and T's partition.
 
-    ``indices`` are distinct and increasing, so T is basic with the entries
-    as its classes.  (T1) and (T2) are read off the roster's tables: pd T =
-    max pd X_i and dim Ext^1(T, T) = sum of dim Ext^1(X_i, X_j).  (T3) is
-    constructed.  For T tilting, Gen T = {X : Ext^1(T, X) = 0} and T-perp =
-    {X : Hom(T, X) = 0} (Brenner-Butler; Assem-Simson-Skowronski VI.2), so
-    X_j is torsion when Ext^1(X_i, X_j) = 0 for every i, free when Hom(X_i,
-    X_j) = 0 for every i, and neither otherwise.  Any other T is
-    partitioned by trace (``partition_roster``).
+    ``indices`` are distinct class indices of the roster (``Roster._class_index``),
+    entries' or past them, so T is basic with those classes, summed in
+    canonical-key order: index order on ``enumerate_roster``'s rosters, whose
+    entries are sorted that way.  (T1) and (T2) are read off the roster's
+    tables: pd T = max pd X_i and dim Ext^1(T, T) = sum of dim Ext^1(X_i,
+    X_j).  (T3) is constructed.  For T tilting, Gen T = {X : Ext^1(T, X) =
+    0} and T-perp = {X : Hom(T, X) = 0} (Brenner-Butler; Assem-Simson-
+    Skowronski VI.2), so the entry X_j is torsion when Ext^1(X_i, X_j) = 0
+    for every i, free when Hom(X_i, X_j) = 0 for every i, and neither
+    otherwise.  Any other T is partitioned by trace (``partition_roster``).
     """
-    classes = [roster.entries[i].module for i in indices]
+    classes = sorted(map(roster._class, indices), key=Representation.canonical_key)
     t = direct_sum(roster.algebra, classes)
     cert = _certify_tilting(TiltingCertificate(
         t, max(map(roster.pd, indices), default=0),

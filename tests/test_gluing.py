@@ -285,14 +285,9 @@ def test_glue_and_restriction_decompose_only_what_no_roster_holds(ctx, roster, g
         glue_tilting(spec, roster)
         assert len(seen) == 2
         assert seen[0] is spec.inner_tilting and seen[1] is spec.outer_tilting
-    # j^*T is read off the outer roster: only uncached roster images are decomposed
+    # j^*T and the images of the roster's entries are read off the outer roster
     fresh = split_context(glued, ["3", "4", "5"])
     t = t_case4(roster, glued)
-    seen.clear()
-    restrict_right(fresh, t, roster)
-    images = gluing._images(fresh, roster, "j*")[0]
-    assert seen and all(any(m is x for x in images) for m in seen)
-    assert len({id(m) for m in seen}) == len(seen)
     seen.clear()
     restrict_right(fresh, t, roster)
     assert seen == []
@@ -582,11 +577,11 @@ def test_second_glue_recomputes_no_roster_data(glued, counting):
     ctx = split_context(glued, ["3", "4", "5"])
     shared = enumerate_roster(glued)
     entries = {id(m) for m in shared.modules}
-    # ext1_dim(X, Y), proj_dim(X), hom_basis(X, Y) and i_upper_star(ctx, X), X and Y entries
+    # ext1_dim(X, Y), proj_dim(X), hom_dim(X, Y) and i_upper_star(ctx, X), X and Y entries
     calls = [(name, counting(module, name, picked))
              for module, name, picked in ((homology, "ext1_dim", slice(0, 2)),
                                           (homology, "proj_dim", slice(0, 1)),
-                                          (homology, "hom_basis", slice(0, 2)),
+                                          (homology, "hom_dim", slice(0, 2)),
                                           (tilting, "ext1_dim", slice(0, 2)),
                                           (gluing, "ext1_dim", slice(0, 2)),
                                           (recollement, "i_upper_star", slice(1, 2)),
@@ -598,7 +593,7 @@ def test_second_glue_recomputes_no_roster_data(glued, counting):
 
     spec = GluedPairSpec(ctx, t_inner(ctx), t_outer_case1(ctx))
     first = glue_tilting(spec, shared)
-    assert on_roster() == {"ext1_dim", "proj_dim", "hom_basis", "i_upper_star"}
+    assert on_roster() == {"ext1_dim", "proj_dim", "hom_dim", "i_upper_star"}
     for _, seen in calls:
         seen.clear()
     assert glue_tilting(spec, shared).to_json() == first.to_json()
@@ -758,11 +753,14 @@ def test_table_reads_agree_with_the_trace(case, ctx, roster, product_algebra):
         cert = glue_tilting(spec, roster)
         assert cert.passed
         split = spec.ctx
-        assert None not in spec.inner_indices + spec.outer_indices
+        parts = [gluing._roster(a) for a in (split.inner_algebra, split.outer_algebra)]
+        # every class is a part roster's entry: no index lies past the entries
+        assert all(k < len(parts[0].entries) for k in spec.inner_indices)
+        assert all(k < len(parts[1].entries) for k in spec.outer_indices)
         images = [gluing._images(split, roster, name)[0] for name in names]
         for i in range(len(roster.modules)):
-            assert all(None not in gluing._image_indices(split, roster, name, i)
-                       for name in names)
+            assert all(k < len(parts[name == "j*"].entries)
+                       for name in names for k in gluing._image_indices(split, roster, name, i))
             read.append(gluing._read_glued_class(spec, roster, i))
             assert read[-1] == gluing._glued_class(spec, *(im[i] for im in images))
         middle = cert.universal.middle
@@ -773,29 +771,63 @@ def test_table_reads_agree_with_the_trace(case, ctx, roster, product_algebra):
     assert {"torsion", "free"} <= set(read)
 
 
-@pytest.mark.parametrize("side", ["part", "whole"])
-def test_unindexed_class_takes_the_trace_path(side, ctx, roster, glued, monkeypatch, counting):
-    want = glue_tilting(GluedPairSpec(ctx, t_inner(ctx), t_outer_case1(ctx)), roster)
-    # a fresh split and roster hold no images, indices or tables yet
-    fresh, shared = split_context(glued, ["3", "4", "5"]), enumerate_roster(glued)
-    if side == "part":
-        # the outer roster "lacks" S(4)
-        patched, dims = gluing._roster(fresh.outer_algebra), (0, 1, 0)
-    else:
-        # the whole roster "lacks" a class of the middle term
-        patched = shared
-        dims = roster.decompose(want.universal.middle)[0][0].dim_vector()
-    real = patched.index
-    monkeypatch.setattr(patched, "index", lambda m: None if m.dim_vector() == dims else real(m))
-    traced, exts, compared = (counting(gluing, name)
-                              for name in ("_glued_class", "ext1_dim", "_same_classes"))
-    cert = glue_tilting(GluedPairSpec(fresh, t_inner(fresh), t_outer_case1(fresh)), shared)
-    assert cert.to_json() == want.to_json()
-    if side == "part":
-        assert 0 < len(traced) < len(roster.modules) and exts == compared == []
-    else:
-        assert traced == [] and len(exts) == len(compared) == 1
-        assert exts[0] is cert.universal.middle
+# -- rosters that lack a class: indices past the entries --------------------------------
+
+
+@pytest.mark.parametrize("dropped", sorted(CASE1_SUMMANDS | CASE2_SUMMANDS))
+def test_a_trimmed_roster_reads_a_glued_class_past_its_entries(dropped, ctx, roster):
+    trimmed = homology.Roster(roster.algebra, [e for e in roster.entries
+                                               if e.module.dim_vector() != dropped])
+    n = len(trimmed.entries)
+    names = ("i*", "j*", "i!")
+    for outer in (t_outer_case1(ctx), t_outer_case2(ctx)):
+        spec = GluedPairSpec(ctx, t_inner(ctx), outer)
+        cert = glue_tilting(spec, trimmed)
+        images = [gluing._images(ctx, trimmed, name)[0] for name in names]
+        for i in range(n):
+            assert gluing._read_glued_class(spec, trimmed, i) == gluing._glued_class(
+                spec, *(im[i] for im in images))
+        if cert.tilting.tilting:
+            assert cert.partition_counts == partition_roster(cert.module, trimmed).counts()
+    # the dropped class is a summand of case (1) or (2): the glue met it past the entries
+    assert [x.dim_vector() for x in trimmed._extra] == [dropped]
+    assert trimmed._class_index(by_dims(roster, dropped)) == n
+
+
+def cyclic_nakayama_split(kill_cx: bool):
+    """1 <-> 2 with xy = yx = 0 as the inner part and c: 3 -> 1 outer, with cx = 0 or not."""
+    rels = [Relation([(1, ("x", "y"))]), Relation([(1, ("y", "x"))])]
+    if kill_cx:
+        rels.append(Relation([(1, ("c", "x"))]))
+    quiver = Quiver(["1", "2", "3"], [("x", "1", "2"), ("y", "2", "1"), ("c", "3", "1")])
+    return split_context(build_algebra(quiver, rels, 10), ["3"])
+
+
+@pytest.mark.parametrize("kill_cx, want", [
+    (False, (True, [(1, 1, 0), (1, 1, 0), (1, 1, 1)], True)),
+    (True, (True, [(1, 0, 1), (1, 1, 0), (1, 1, 0)], True)),
+], ids=["free", "cx=0"])
+def test_cyclic_nakayama_glue_reads_the_missing_simples_past_the_entries(kill_cx, want):
+    split = cyclic_nakayama_split(kill_cx)
+    spec = GluedPairSpec(split, regular_module(split.inner_algebra),
+                         regular_module(split.outer_algebra))
+    cert = glue_tilting(spec)
+    res = restrict_right(split, cert.module)
+    assert (cert.passed, [s.dim_vector() for s in cert.summands], res.partition_equal) == want
+    # the inner roster holds only the two projectives; the glue met both simples
+    inner = gluing._roster(split.inner_algebra)
+    assert [m.dim_vector() for m in inner.modules] == [(1, 1), (1, 1)]
+    assert sorted(x.dim_vector() for x in inner._extra) == [(0, 1), (1, 0)]
+
+
+@pytest.mark.parametrize("call", ["glue_tilting", "restrict_right", "restrict_left"])
+def test_a_roster_over_another_algebra_is_refused(call, ctx, roster, glued, product_algebra):
+    other = enumerate_roster(product_algebra)
+    with pytest.raises(ValueError, match="^roster must be a roster of the split's whole algebra"):
+        if call == "glue_tilting":
+            glue_tilting(GluedPairSpec(ctx, t_inner(ctx), t_outer_case1(ctx)), other)
+        else:
+            getattr(gluing, call)(ctx, t_case4(roster, glued), other)
 
 
 # -- the fit filter of _add_pieces against the unfiltered multiplicity sum ------------

@@ -594,6 +594,29 @@ def test_roster_index_finds_each_entry_and_its_copies(classifier_rosters):
         assert classifier_rosters[(at + 1) % len(classifier_rosters)].index(mods[0]) is None
 
 
+def test_class_index_past_the_entries(classifier_rosters):
+    for at, roster in enumerate(classifier_rosters):
+        alg, mods = roster.algebra, roster.modules
+        gone = mods[1]
+        trimmed = Roster(alg, [e for e in roster.entries if e.module is not gone])
+        n = len(trimmed.entries)
+        # entries keep their indices; the class they lack gets the next one, its copies too
+        assert [trimmed._class_index(m) for m in trimmed.modules] == list(range(n))
+        assert trimmed._class_index(gone) == n
+        assert trimmed._class_index(direct_sum(alg, [gone])) == n
+        assert trimmed._class(n) is gone and trimmed.index(gone) is None
+        # the tables answer the index past the entries as they answer an entry
+        for j, y in enumerate(trimmed.modules[:3]):
+            assert trimmed.ext1_dim(n, j) == ext1_dim(gone, y)
+            assert trimmed.ext1_dim(j, n) == ext1_dim(y, gone)
+            assert trimmed.hom_vanishes(n, j) == (hom_dim(gone, y) == 0)
+        assert trimmed.pd(n) == proj_dim(gone) and trimmed.unit_rank(n) == 1
+        other = classifier_rosters[(at + 1) % len(classifier_rosters)]
+        with pytest.raises(ValueError, match="not over the roster's algebra"):
+            other._class_index(gone)
+        assert other._extra == []
+
+
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
 @given(data=st.data())
 def test_roster_decompose_agrees_with_decompose(classifier_rosters, data):

@@ -76,6 +76,17 @@ def test_traced_per_layer_metrics_name_public_functions():
     assert not missing, missing
 
 
+def test_gluing_compares_classes_by_roster_index():
+    # a class the roster's entries lack has an index past them, so gluing never
+    # needs to test two modules for isomorphism or pick one per class itself
+    tree = ast.parse((SRC / "gluing.py").read_text())
+    banned = {"same_class", "_same_classes", "basic_summands"}
+    found = [f"gluing.py:{node.lineno} {alias.name}"
+             for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+             for alias in node.names if alias.name in banned]
+    assert not found, found
+
+
 def test_no_true_division_outside_path_joins():
     # "/" on two int entries gives a float, which is no longer exact; fixtures.py
     # uses it only to join pathlib paths
