@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CapExceeded, RectiltError, RelationIllFormed
-from .linalg import Mat, format_fraction, parse_fraction, rref
+from .linalg import Mat, _exact, format_fraction, parse_fraction, rref
 
 DEFAULT_LENGTH_CAP = 30
 
@@ -78,7 +78,7 @@ class Relation:
     """A parallel linear combination of paths, each of length >= 2."""
 
     def __init__(self, terms):
-        self.terms = tuple((Fraction(c), tuple(p)) for c, p in terms)
+        self.terms = tuple((_exact(c), tuple(p)) for c, p in terms)
         if not self.terms:
             raise RelationIllFormed("empty relation")
 

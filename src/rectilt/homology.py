@@ -29,7 +29,7 @@ from itertools import islice
 
 from .algebra import BoundQuiverAlgebra, Path
 from .errors import CapExceeded, RectiltError
-from .linalg import Mat, quotient, rank, solve
+from .linalg import Mat, _exact, quotient, rank, solve
 from .rep import (
     Morphism,
     Representation,
@@ -249,7 +249,7 @@ def _pushout_extension(pres: ProjectivePresentation, cocycle: Morphism) -> SES:
 
 def realize_extension(e: ExtSpace, coeffs) -> SES:
     """The extension of e.source by e.coefficient with the given class."""
-    coeffs = [Fraction(c) for c in coeffs]
+    coeffs = [_exact(c) for c in coeffs]
     if len(coeffs) != e.dimension:
         raise ValueError("coefficient list does not match Ext dimension")
     cocycle = _linear_combination(e.presentation.syzygy, e.coefficient, coeffs, e.cocycles)
@@ -286,27 +286,19 @@ def is_split(ses: SES) -> bool:
 
 
 def ext_k(m: Representation, n: Representation, k: int, cap: int | None = None) -> int:
-    """dim Ext^k via Hom applied to the minimal projective resolution."""
+    """dim Ext^k(m, n): Hom for k = 0, else Ext^1(Omega^(k-1) m, n) by dimension shift."""
     if k < 0:
         raise ValueError("k must be >= 0")
     if cap is None:
         cap = m.algebra.dimension + k + 1
     if k + 1 > cap:
         raise CapExceeded("resolution exceeded the configured step cap")
-    # minimal resolution P_0 <- P_1 <- ... <- P_{k+1}; P_i = 0 past its end
-    steps = list(islice(_resolution(m), k + 2))
-    homs = {i: hom_basis(steps[i].cover, n) if i < len(steps) else []
-            for i in range(max(k - 1, 0), k + 2)}
-
-    def rank_d(i):
-        """Rank of Hom(P_i, n) -> Hom(P_{i+1}, n), precomposition with P_{i+1} -> P_i."""
-        if i + 1 >= len(steps):
-            return 0
-        d = steps[i].inclusion.compose(steps[i + 1].surjection)
-        return rank(_precomposition(d, homs[i], homs[i + 1]))
-
-    dim = len(homs[k]) - rank_d(k)
-    return dim if k == 0 else dim - rank_d(k - 1)
+    if k == 0:
+        return hom_dim(m, n)
+    # the resolution stops at a zero syzygy, which has no Ext
+    for pres in islice(_resolution(m), k - 1):
+        m = pres.syzygy
+    return ext1_dim(m, n)
 
 
 # -- tensor products and Tor ------------------------------------------------

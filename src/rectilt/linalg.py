@@ -14,14 +14,14 @@ checks what callers pass in; elimination results are rebuilt once, one
 assembles from matrices it already holds goes through the trusted
 ``Mat._trusted``, which neither coerces nor checks.
 
-Integer rows also enter from outside, through :func:`int_kernel`:
-``rep`` builds its intertwining systems and the polynomials of its
-splitting endomorphisms in integers, and hands them straight to the
-elimination, so the only ``Fraction`` objects made there are those of
-the kernel basis it returns.  The same elimination also gives that
-kernel as integer vectors (``_kernel_ints``), each basis vector scaled
-by the lcm of the pivots it meets; a question that needs only a rank
-or a dimension reads those, and no ``Fraction`` is made at all.
+Integer rows also enter from outside: ``rep`` builds its intertwining
+systems and the polynomials of its splitting endomorphisms in integers
+and hands them straight to the elimination.  Its one readout,
+``_kernel_ints``, gives the kernel as integer vectors, each scaled by
+the lcm of the pivots it meets; a question that needs only a rank, a
+dimension or a span reads those, and no ``Fraction`` is made at all.
+:func:`int_kernel` divides each vector by its free entry, which is the
+canonical basis of :func:`kernel_basis`.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ def format_fraction(x: Fraction) -> str:
 
 
 def parse_fraction(s) -> Fraction:
-    return Fraction(s)
+    return _exact(s)
 
 
 def _exact(x) -> Fraction:
@@ -165,7 +165,7 @@ class Mat:
                             tuple(tuple(-a for a in row) for row in self.entries))
 
     def scale(self, c) -> "Mat":
-        c = Fraction(c)
+        c = _exact(c)
         return Mat._trusted(self.rows, self.cols,
                             tuple(tuple(c * a for a in row) for row in self.entries))
 
@@ -357,32 +357,13 @@ def rank(mat: Mat) -> int:
     return len(rref(mat)[1])
 
 
-def int_kernel(rows: list[list[int]], ncols: int) -> Mat:
-    """:func:`kernel_basis` of the integer ``rows``, which it reduces in place.
-
-    Pivot column c of free column j holds ``-row[j] / row[c]``.  Scaling
-    a row by a nonzero integer changes nothing, so callers may clear
-    denominators row by row.
-    """
-    reduced, pivots = reduce_rows(rows, ncols)
-    pivot_set = set(pivots)
-    free = [j for j in range(ncols) if j not in pivot_set]
-    out = [None] * ncols
-    for k, j in enumerate(free):
-        out[j] = _unit_row(len(free), k)
-    for row, c in zip(reduced, pivots):
-        p = row[c]
-        out[c] = tuple(Fraction(-row[j], p) if row[j] else _ZERO for j in free)
-    return Mat._trusted(ncols, len(free), tuple(out))
-
-
 def _kernel_ints(rows: list[list[int]], ncols: int) -> list[list[int]]:
-    """:func:`int_kernel`'s basis vectors, each scaled to integers, as lists.
+    """The kernel of the integer ``rows``, which it reduces in place, as integer lists.
 
-    The same elimination: free column j gets the lcm L of the pivots of
-    the rows it meets, and pivot column c of such a row gets ``-row[j] *
-    L / row[c]``, so vector j is ``int_kernel``'s column j times L.  No
-    ``Fraction`` is made.
+    Free column j gets the lcm L of the pivots of the rows it meets, and
+    pivot column c of such a row gets ``-row[j] * L / row[c]``; those pivots
+    lie left of j, so L is the vector's last nonzero entry, its free entry.
+    Callers may clear denominators row by row.  No ``Fraction`` is made.
     """
     reduced, pivots = reduce_rows(rows, ncols)
     pivot_set = set(pivots)
@@ -398,6 +379,22 @@ def _kernel_ints(rows: list[list[int]], ncols: int) -> list[list[int]]:
             vec[c] = -row[j] * (scale // row[c])
         out.append(vec)
     return out
+
+
+def _free_entry(vec: list[int]) -> int:
+    """The free entry of a ``_kernel_ints`` vector: its last nonzero entry."""
+    return next(n for n in reversed(vec) if n)
+
+
+def _free_scaled(vec: list[int]) -> tuple:
+    """The ``_kernel_ints`` vector ``vec`` divided by its free entry."""
+    return _over(vec, _free_entry(vec))
+
+
+def int_kernel(rows: list[list[int]], ncols: int) -> Mat:
+    """:func:`kernel_basis` of the integer ``rows``: ``_kernel_ints``, each free entry made 1."""
+    cols = [_free_scaled(vec) for vec in _kernel_ints(rows, ncols)]
+    return Mat._trusted(ncols, len(cols), tuple(zip(*cols)) if cols else ((),) * ncols)
 
 
 def kernel_basis(mat: Mat) -> Mat:

@@ -14,24 +14,26 @@ found first, by the rational root theorem; sympy is imported only when a
 factor of degree >= 2 remains or a coefficient is past the search bound.
 
 The hot paths run in integers up to the row reducer.  Hom spaces scale
-each arrow's intertwining rows to integers and read their basis from
-``linalg.int_kernel``; a splitting element x is scaled to X = d x, whose
-minimal polynomial comes from one fraction-free Krylov pass and whose
-primary kernels are those of integer multiples of p^e(X / d).  Fractions
-are built only for the bases handed back.
+each arrow's intertwining rows to integers and read their kernel as
+integer vectors (``linalg._kernel_ints``); a splitting element x is
+scaled to X = d x, whose minimal polynomial comes from one fraction-free
+Krylov pass and whose primary kernels are those of integer multiples of
+p^e(X / d).  Fractions are built only for the maps handed back.
 
 One criterion decides summand classes: the trace pairing P(x, m)[i][j] =
 tr(g_j o f_i) of the bases f of Hom(x, m) and g of Hom(m, x).  Traces kill
 nilpotents in characteristic 0, so for x indecomposable rank P(x, m) =
 mult_x(m) * dim End(x)/rad.  Multiplicities, add-membership, isomorphism
-classes and witnesses, and the radical of End(M) all read this one rank.
-Multiplicities, and so add-membership and ``Roster.decompose``, and
-``same_class`` need the rank alone: ``_pairing_rank`` reads it off the
-integer kernels of the two intertwining systems, as ``hom_dim`` reads
-the nullity of one, and neither builds a morphism or a ``Fraction``.
-``is_isomorphic`` and ``split_off_summand`` need the maps for their
-witnesses, and rad End(M) is a subspace of End(M), so those build the
-bases (``_trace_pairing``, ``_end_radical``).
+classes and witnesses, and the radical of End(M) all read this one
+pairing, and ``_pairing`` computes it once, in integers, from the kernel
+vectors of the two intertwining systems.  Vector j is the j-th
+``hom_basis`` map times its free entry, so the integer pairing differs
+from that of the bases by invertible diagonal factors on both sides:
+its rank, zero pattern and pivot columns, and its kernel rescaled, are
+theirs.  ``_pairing_rank`` and ``hom_dim`` build no morphism and no
+``Fraction``; ``hom_basis``, ``_end_radical``, ``is_isomorphic`` and
+``split_off_summand`` turn only the kernel vectors they hand back or use
+into maps (``_morphisms``).
 """
 
 from __future__ import annotations
@@ -44,8 +46,8 @@ from math import comb, gcd, isqrt, lcm
 
 from .algebra import BoundQuiverAlgebra, Path
 from .errors import PossibleDivisionAlgebra, RectiltError
-from .linalg import (_ONE, _ZERO, Mat, _kernel_ints, col_basis, int_kernel, kernel_basis,
-                     quotient, rank, reduce_rows, rref, solve)
+from .linalg import (_ONE, _ZERO, Mat, _exact, _free_entry, _free_scaled, _kernel_ints,
+                     col_basis, int_kernel, kernel_basis, quotient, rank, reduce_rows, solve)
 
 
 # Modules are never mutated, so modules over one algebra share what is
@@ -170,11 +172,17 @@ class Representation:
     @classmethod
     def from_json(cls, algebra: BoundQuiverAlgebra, data) -> "Representation":
         dims = {str(v): int(d) for v, d in data["dims"].items()}
+        raw_maps = data.get("maps", {})
+        for kind, keys, known in (("vertex", dims, algebra.vertices),
+                                  ("arrow", raw_maps, [a.name for a in algebra.arrows])):
+            stray = [k for k in keys if k not in known]
+            if stray:
+                raise ValueError(f"{kind} key {stray[0]!r} names no {kind} of the algebra")
         maps = {}
         for a in algebra.arrows:
             rows = dims.get(a.target, 0)
             cols = dims.get(a.source, 0)
-            raw = data.get("maps", {}).get(a.name)
+            raw = raw_maps.get(a.name)
             if raw is None:
                 continue
             maps[a.name] = Mat.from_json(raw, rows=rows, cols=cols)
@@ -347,23 +355,32 @@ def _intertwining_rows(m: Representation, n: Representation):
     return rows, offsets, total
 
 
-def hom_basis(m: Representation, n: Representation) -> list[Morphism]:
-    """Canonical basis of Hom(m, n): the kernel of the intertwining system."""
-    if m.algebra is not n.algebra:
-        raise ValueError("representations over different algebras")
-    rows, offsets, total = _intertwining_rows(m, n)
-    if total == 0:
-        return []
-    # the kernel's entries are all Fraction, so each component is trusted as it is sliced
-    blocks = [(v, n.dims[v], m.dims[v], offsets[v]) for v in m.algebra.vertices
-              if n.dims[v] and m.dims[v]]
+def _morphisms(m: Representation, n: Representation, vecs) -> list[Morphism]:
+    """The kernel vectors ``vecs`` of Hom(m, n)'s system as maps, each divided by its free entry.
+
+    The entries are all Fraction, so each component is trusted as it is sliced.
+    """
+    blocks, base = [], 0
+    for v in m.algebra.vertices:
+        nv, mv = n.dims[v], m.dims[v]
+        if nv and mv:
+            blocks.append((v, nv, mv, base))
+        base += nv * mv
     out = []
-    for col in zip(*int_kernel(rows, total).entries):
+    for col in map(_free_scaled, vecs):
         comps = {v: Mat._trusted(nv, mv, tuple(col[base + r * mv:base + (r + 1) * mv]
                                                for r in range(nv)))
                  for v, nv, mv, base in blocks}
         out.append(Morphism(m, n, comps, validate=False))
     return out
+
+
+def hom_basis(m: Representation, n: Representation) -> list[Morphism]:
+    """Canonical basis of Hom(m, n): the kernel of the intertwining system."""
+    if m.algebra is not n.algebra:
+        raise ValueError("representations over different algebras")
+    rows, _, total = _intertwining_rows(m, n)
+    return _morphisms(m, n, _kernel_ints(rows, total))
 
 
 def hom_dim(m: Representation, n: Representation) -> int:
@@ -395,60 +412,45 @@ def flatten_morphism(f: Morphism) -> list[Fraction]:
     return out
 
 
-def _pairing_matrix(fs, gs) -> Mat:
-    """P[i][j] = tr(gs[j] o fs[i]) for fs: x -> m and gs: m -> x, as F @ G^T."""
-    if not fs or not gs:
-        return Mat.zeros(len(fs), len(gs))
-    g_rows = [[c for v in g.source.algebra.vertices
-               for row in g.components[v].transpose().entries for c in row] for g in gs]
-    return Mat.from_rows([flatten_morphism(f) for f in fs]) @ Mat.from_rows(g_rows).transpose()
-
-
-def _trace_pairing(x: Representation, m: Representation):
-    """Bases of Hom(x, m) and Hom(m, x) with their trace pairing.
-
-    When Hom(x, m) = 0 the pairing is zero whatever Hom(m, x) is, so that
-    basis is not built and comes back empty.
-    """
-    fs = hom_basis(x, m)
-    gs = hom_basis(m, x) if fs else []
-    return fs, gs, _pairing_matrix(fs, gs)
-
-
-def _pairing_rank(x: Representation, m: Representation) -> int:
-    """rank P(x, m), read off the integer kernels of the two intertwining systems.
+def _pairing(x: Representation, m: Representation):
+    """``(fs, gs, P)``: the integer kernels of Hom(x, m) and Hom(m, x), P[f][g] = tr(g o f).
 
     Entry (b, a) of f_v, for f: x -> m, is unknown ``off_xm[v] + b dim x_v +
     a``, and entry (a, b) of g_v, for g: m -> x, is ``off_mx[v] + a dim m_v +
-    b``; P[f][g] = tr(g o f) sums their products.  Scaling a kernel vector
-    scales a row or column of P, which leaves its rank alone.  When Hom(x,
-    m) = 0 the second kernel is not computed.
+    b``; tr(g o f) sums their products.  When m is x the End system is
+    eliminated once; when Hom(x, m) = 0 the second kernel is not computed.
     """
-    rows, _, total = _intertwining_rows(x, m)
+    rows, off_xm, total = _intertwining_rows(x, m)
     fs = _kernel_ints(rows, total)
     if not fs:
-        return 0
-    rows, off_mx, total = _intertwining_rows(m, x)
-    gs = _kernel_ints(rows, total)
-    if not gs:
-        return 0
+        return fs, [], []
+    if m is x:
+        gs, off_mx = fs, off_xm
+    else:
+        rows, off_mx, total = _intertwining_rows(m, x)
+        gs = _kernel_ints(rows, total)
     # position k of f's layout reads position perm[k] of g's
     perm = [off_mx[v] + a * m.dims[v] + b for v in x.algebra.vertices
             for b in range(m.dims[v]) for a in range(x.dims[v])]
-    gs = [[g[k] for k in perm] for g in gs]
-    pairing = [[sum(p * q for p, q in zip(f, g) if p) for g in gs] for f in fs]
+    flipped = [[g[k] for k in perm] for g in gs]
+    return fs, gs, [[sum(p * q for p, q in zip(f, g) if p) for g in flipped] for f in fs]
+
+
+def _pairing_rank(x: Representation, m: Representation) -> int:
+    """rank P(x, m), read off the integer pairing; no morphism or ``Fraction`` is built."""
+    _, gs, pairing = _pairing(x, m)
     return len(reduce_rows(pairing, len(gs))[1])
 
 
-def _end_radical(x: Representation) -> tuple[list[Morphism], Mat]:
-    """The basis of End(x) and, as columns, rad End(x) in it: the kernel of the trace form.
+def _end_radical(x: Representation) -> tuple[list[Morphism], list[list[int]]]:
+    """The basis of End(x) and, as integer coordinate vectors, rad End(x): the trace form's kernel.
 
-    An End(x) of dimension <= 1 is 0 or Q, whose radical is 0, so no pairing is built.
+    u in the kernel of the integer pairing is sum_j u_j L_j basis[j], L_j the free entry of fs[j].
     """
-    basis = hom_basis(x, x)
-    if len(basis) <= 1:
-        return basis, Mat.zeros(len(basis), 0)
-    return basis, kernel_basis(_pairing_matrix(basis, basis))
+    fs, _, pairing = _pairing(x, x)
+    frees = [_free_entry(f) for f in fs]
+    rad = [[u * s for u, s in zip(vec, frees)] for vec in _kernel_ints(pairing, len(fs))]
+    return _morphisms(x, x, fs), rad
 
 
 # -- constructions ------------------------------------------------------
@@ -604,7 +606,7 @@ def hom_from_projective(algebra: BoundQuiverAlgebra, v: str, m: Representation,
                          f"{m.dims[v]}")
     pv = projective(algebra, v)
     zero = Fraction(0)
-    images = {(): [Fraction(x) for x in vec]}
+    images = {(): [_exact(x) for x in vec]}
 
     def push(arrows):
         if arrows not in images:
@@ -791,7 +793,7 @@ def _split_candidates(dim: int):
         yield unit
     rng = random.Random(0)
     for _ in range(64):
-        yield [Fraction(rng.randint(-3, 3)) for _ in range(dim)]
+        yield [_exact(rng.randint(-3, 3)) for _ in range(dim)]
 
 
 def _split_once(m: Representation):
@@ -808,7 +810,7 @@ def _split_once(m: Representation):
     when End/rad has dimension > 1 but no candidate splits.
     """
     basis, rad = _end_radical(m)
-    pivots = set(rref(rad.transpose())[1]) if rad.cols else set()
+    pivots = set(reduce_rows(rad, len(basis))[1])
     comp = [f for i, f in enumerate(basis) if i not in pivots]
     if len(comp) <= 1:
         return None
@@ -863,8 +865,7 @@ def multiplicity(x: Representation, m: Representation) -> int:
 
 def _unit_rank(x: Representation) -> int:
     """rank P(x, x) = dim End(x) - dim rad (rank-nullity) = dim End(x)/rad for x indecomposable."""
-    basis, rad = _end_radical(x)
-    return len(basis) - rad.cols
+    return _pairing_rank(x, x)
 
 
 def _multiplicity(x: Representation, m: Representation, unit: int) -> int:
@@ -897,14 +898,16 @@ def is_isomorphic(m: Representation, n: Representation):
         return False, None
     witness = zero_morphism(m, n)
     for x, k in decompose(m):
-        fs, _, p_n = _trace_pairing(x, n)
-        _, gs, p_m = _trace_pairing(x, m)
-        rows = rref(p_n.transpose())[1]
+        fs, _, p_n = _pairing(x, n)
+        _, gs, p_m = _pairing(x, m)
+        rows = reduce_rows([list(col) for col in zip(*p_n)], len(fs))[1]
         if len(rows) != k:
             return False, {"class_dims": x.to_json()["dims"],
                            "multiplicity_in_m": k, "rank_in_n": len(rows)}
-        for a, b in zip(rows, rref(p_m)[1]):
-            witness = witness.add(fs[a].compose(gs[b]))
+        cols = reduce_rows(p_m, len(gs))[1]
+        for f, g in zip(_morphisms(x, n, [fs[a] for a in rows]),
+                        _morphisms(m, x, [gs[b] for b in cols])):
+            witness = witness.add(f.compose(g))
     if m.dims != n.dims:
         return False, {"dims_m": m.to_json()["dims"], "dims_n": n.to_json()["dims"]}
     if not witness.is_invertible():
@@ -935,11 +938,11 @@ def split_off_summand(c: Representation, t: Representation) -> Representation | 
     """
     if t.is_zero() or any(c.dims[v] < t.dims[v] for v in c.algebra.vertices):
         return None
-    _, gs, p = _trace_pairing(t, c)
-    for row in p.entries:
+    _, gs, p = _pairing(t, c)
+    for row in p:
         for g, entry in zip(gs, row):
-            if entry != 0:
-                return kernel(g)[0]
+            if entry:
+                return kernel(_morphisms(c, t, [g])[0])[0]
     return None
 
 

@@ -176,8 +176,8 @@ def _class_radicals(classes):
     units, spans = [], []
     for i, x in enumerate(classes):
         ends, rad = _end_radical(x)
-        units.append(len(ends) - rad.cols)
-        radical = [_linear_combination(x, x, rad.col(c), ends) for c in range(rad.cols)]
+        units.append(len(ends) - len(rad))
+        radical = [_linear_combination(x, x, coords, ends) for coords in rad]
         radical += [g for j, y in enumerate(classes) if j != i for g in hom_basis(y, x)]
         spans.append({v: Mat.hstack([g.components[v] for g in radical], rows=x.dims[v])
                       for v in x.algebra.vertices})

@@ -128,6 +128,12 @@ def test_ill_formed_relations_rejected():
         build_algebra(q2, [Relation([(1, ("a", "b")), (1, ("b", "a"))])], 5)
 
 
+def test_relation_rejects_a_float_coefficient():
+    with pytest.raises(TypeError, match="float"):
+        Relation([(0.1, ("a", "b"))])
+    assert Relation([("1/10", ("a", "b"))]).terms == ((Fraction(1, 10), ("a", "b")),)
+
+
 def test_json_round_trip():
     A = glued()
     data = A.to_json()

@@ -8,7 +8,7 @@ import pytest
 from rectilt import linalg
 from rectilt.errors import RectiltError
 from rectilt.linalg import (Mat, _kernel_ints, _to_int_rows, col_basis, int_kernel,
-                            kernel_basis, quotient, rank, rref, solve)
+                            kernel_basis, parse_fraction, quotient, rank, rref, solve)
 
 
 def M(rows):
@@ -238,6 +238,20 @@ def test_public_constructor_rejects_float_entries():
     with pytest.raises(TypeError, match="float"):
         Mat.from_rows([[0, 0.25]])
     assert Mat(1, 2, [["0.1", Fraction(1, 10)]]).entries == ((Fraction(1, 10),) * 2,)
+
+
+def test_scale_rejects_a_float():
+    with pytest.raises(TypeError, match="float"):
+        Mat.identity(2).scale(0.1)
+    assert Mat.identity(1).scale("1/10") == Mat(1, 1, [[Fraction(1, 10)]])
+
+
+def test_parse_fraction_and_matrix_json_reject_floats():
+    with pytest.raises(TypeError, match="float"):
+        parse_fraction(0.1)
+    with pytest.raises(TypeError, match="float"):
+        Mat.from_json([["1", 0.5]])
+    assert Mat.from_json([["1", "1/2"]]) == Mat(1, 2, [[1, Fraction(1, 2)]])
 
 
 # -- differential test against textbook Fraction elimination ---------------

@@ -19,7 +19,7 @@ from rectilt import tilting as tilting_module
 from rectilt.algebra import Quiver, Relation, build_algebra
 from rectilt.errors import PossibleDivisionAlgebra, RectiltError
 from rectilt.homology import enumerate_roster, projective_cover, tensor_dim_data
-from rectilt.linalg import Mat, kernel_basis, quotient, rank, solve
+from rectilt.linalg import Mat, kernel_basis, quotient, rank, rref, solve
 from rectilt.rep import (
     SES,
     Morphism,
@@ -73,6 +73,16 @@ def test_standard_modules_over_outer(outer):
     assert injective(outer, "3") == simple(outer, "3")
     assert is_isomorphic(injective(outer, "4"), projective(outer, "3"))[0]
     assert is_isomorphic(injective(outer, "5"), projective(outer, "4"))[0]
+
+
+def test_from_json_refuses_keys_that_name_nothing(outer):
+    data = projective(outer, "3").to_json()
+    assert Representation.from_json(outer, data) == projective(outer, "3")
+    misspelled = {"dims": data["dims"], "maps": {"alfa": data["maps"]["alpha"]}}
+    with pytest.raises(ValueError, match="'alfa'"):
+        Representation.from_json(outer, misspelled)
+    with pytest.raises(ValueError, match="'6'"):
+        Representation.from_json(outer, {"dims": {**data["dims"], "6": 1}, "maps": data["maps"]})
 
 
 def test_relation_violation_is_rejected(outer):
@@ -694,6 +704,37 @@ def _reference_classify(t, m):
     return "torsion" if all(rank(spans[v]) == m.dims[v] for v in spans) else "neither"
 
 
+def _reference_pairing(x, m):
+    """Hom(x, m) and Hom(m, x)'s bases and P[i][j] = tr(g_j o f_i) as F @ G^T, in Fractions."""
+    fs, gs = hom_basis(x, m), hom_basis(m, x)
+    if not fs or not gs:
+        return fs, gs, Mat.zeros(len(fs), len(gs))
+    g_rows = [[c for v in g.source.algebra.vertices
+               for row in g.components[v].transpose().entries for c in row] for g in gs]
+    pairing = Mat.from_rows([flatten_morphism(f) for f in fs]) @ Mat.from_rows(g_rows).transpose()
+    return fs, gs, pairing
+
+
+def _reference_witness(m, n):
+    """``is_isomorphic``'s witness from the pivots of the Fraction pairing, or None."""
+    witness = zero_morphism(m, n)
+    for x, k in decompose(m):
+        fs, _, p_n = _reference_pairing(x, n)
+        _, gs, p_m = _reference_pairing(x, m)
+        rows = rref(p_n.transpose())[1]
+        if len(rows) != k:
+            return None
+        for a, b in zip(rows, rref(p_m)[1]):
+            witness = witness.add(fs[a].compose(gs[b]))
+    return witness if m.dims == n.dims else None
+
+
+def _reference_complement(c, t):
+    """``split_off_summand``'s complement from the first nonzero entry of the Fraction pairing."""
+    _, gs, p = _reference_pairing(t, c)
+    return next((kernel(g)[0] for row in p.entries for g, e in zip(gs, row) if e), None)
+
+
 @pytest.mark.parametrize("mods", [_truncated_polynomials, _cyclic_nakayama],
                          ids=["k[x]/x^3", "nakayama"])
 def test_integer_ranks_agree_with_the_maps_on_radical_endomorphisms(mods):
@@ -704,7 +745,7 @@ def test_integer_ranks_agree_with_the_maps_on_radical_endomorphisms(mods):
     wrong = []
     for x in mods:
         for m in mods:
-            want = rank(rep_module._pairing_matrix(hom_basis(x, m), hom_basis(m, x)))
+            want = rank(_reference_pairing(x, m)[2])
             if rep_module._pairing_rank(x, m) != want:
                 wrong.append(("pairing", x.dim_vector(), m.dim_vector(), want))
             want = _reference_classify(x, m)
@@ -712,6 +753,35 @@ def test_integer_ranks_agree_with_the_maps_on_radical_endomorphisms(mods):
                 wrong.append(("classify", x.dim_vector(), m.dim_vector(), want))
             assert hom_dim(x, m) == len(hom_basis(x, m))
     assert not wrong, wrong
+
+
+@pytest.mark.parametrize("mods", [_truncated_polynomials, _cyclic_nakayama],
+                         ids=["k[x]/x^3", "nakayama"])
+def test_integer_pairing_answers_as_the_fraction_pairing(mods):
+    mods = mods()
+    for x in mods:
+        basis, rad = rep_module._end_radical(x)
+        want = kernel_basis(_reference_pairing(x, x)[2])
+        assert basis == hom_basis(x, x)
+        got = Mat.from_rows(rad) if rad else Mat.zeros(0, len(basis))
+        assert rref(got) == rref(want.transpose())
+        assert rep_module._unit_rank(x) == len(basis) - want.cols
+    isomorphic = 0
+    for m in mods:
+        for n in mods:
+            ok, witness = is_isomorphic(m, n)
+            want = _reference_witness(m, n)
+            assert ok == (want is not None)
+            if ok:
+                assert witness == want
+                isomorphic += m is not n
+    splits = 0
+    for m in mods:
+        for t in {id(t): t for n in mods for t, _ in decompose(n)}.values():
+            got = split_off_summand(m, t)
+            assert got == _reference_complement(m, t)
+            splits += got is not None
+    assert isomorphic and splits
 
 
 # -- sympy is imported only for a factor of degree >= 2 -----------------------------------

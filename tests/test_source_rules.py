@@ -97,3 +97,19 @@ def test_no_true_division_outside_path_joins():
              for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
              if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)]
     assert not found, found
+
+
+def test_fraction_reads_caller_values_only_through_exact():
+    # Fraction(0.1) is 3602879701896397/36028797018963968, not 1/10; linalg._exact
+    # refuses a float, so outside linalg.py a one-argument Fraction takes an int literal
+    paths = sorted(p for p in SRC.glob("*.py") if p.name != "linalg.py")
+    assert paths, SRC
+    found = [f"{path.name}:{node.lineno}"
+             for path in paths
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "id", getattr(node.func, "attr", None)) == "Fraction"
+             and len(node.args) + len(node.keywords) == 1
+             and not (node.args and isinstance(node.args[0], ast.Constant)
+                      and type(node.args[0].value) is int)]
+    assert not found, found
