@@ -106,7 +106,9 @@ def _carry(m: Representation, source: BoundQuiverAlgebra, onto: BoundQuiverAlgeb
     """
     if m.algebra is not source:
         raise ValueError(f"expected a module over the {what} algebra")
-    return Representation(onto, m.dims, m.maps, validate=False)
+    return Representation(onto, {v: m.dims.get(v, 0) for v in onto.vertices},
+                          {a.name: m.maps[a.name] for a in onto.arrows if a.name in m.maps},
+                          validate=False)
 
 
 def i_shriek(ctx: RecollementContext, m: Representation) -> Representation:

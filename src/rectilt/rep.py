@@ -15,25 +15,23 @@ factor of degree >= 2 remains or a coefficient is past the search bound.
 
 The hot paths run in integers up to the row reducer.  Hom spaces scale
 each arrow's intertwining rows to integers and read their kernel as
-integer vectors (``linalg._kernel_ints``); a splitting element x is
-scaled to X = d x, whose minimal polynomial comes from one fraction-free
-Krylov pass and whose primary kernels are those of integer multiples of
-p^e(X / d).  Fractions are built only for the maps handed back.
+integer vectors (``linalg._kernel_ints``), whose blocks ``_blocks``
+reads.  A splitting element x is read off them as the integer blocks
+X = d x, whose minimal polynomial comes from one fraction-free Krylov
+pass and whose primary kernels are those of integer multiples of
+p^e(X / d).
 
 One criterion decides summand classes: the trace pairing P(x, m)[i][j] =
 tr(g_j o f_i) of the bases f of Hom(x, m) and g of Hom(m, x).  Traces kill
 nilpotents in characteristic 0, so for x indecomposable rank P(x, m) =
 mult_x(m) * dim End(x)/rad.  Multiplicities, add-membership, isomorphism
-classes and witnesses, and the radical of End(M) all read this one
-pairing, and ``_pairing`` computes it once, in integers, from the kernel
-vectors of the two intertwining systems.  Vector j is the j-th
-``hom_basis`` map times its free entry, so the integer pairing differs
-from that of the bases by invertible diagonal factors on both sides:
-its rank, zero pattern and pivot columns, and its kernel rescaled, are
-theirs.  ``_pairing_rank`` and ``hom_dim`` build no morphism and no
-``Fraction``; ``hom_basis``, ``_end_radical``, ``is_isomorphic`` and
-``split_off_summand`` turn only the kernel vectors they hand back or use
-into maps (``_morphisms``).
+classes and witnesses, and rad End(M) all read this one pairing, which
+``_pairing`` computes in integers from the kernel vectors of the two
+intertwining systems.  Vector j is the j-th ``hom_basis`` map times its
+free entry, so the pairing differs from that of the bases by invertible
+diagonal factors: its rank, zero pattern and pivot columns are theirs.
+Only ``hom_basis``, ``is_isomorphic`` and ``split_off_summand`` turn
+kernel vectors into maps (``_morphisms``), the only ``Fraction``s built.
 """
 
 from __future__ import annotations
@@ -100,6 +98,7 @@ class Representation:
     def __init__(self, algebra: BoundQuiverAlgebra, dims, maps, validate: bool = True):
         self.algebra = algebra
         own = {v: int(dims.get(v, 0)) for v in algebra.vertices}
+        _refuse_stray("vertex", dims, own)
         key = tuple(own.values())
         if min(key, default=0) < 0:
             raise ValueError("negative dimension")
@@ -113,6 +112,7 @@ class Representation:
                 raise ValueError(f"map for arrow {a.name} has shape {m.rows}x{m.cols}, "
                                  f"expected {self.dims[a.target]}x{self.dims[a.source]}")
             full_maps[a.name] = m
+        _refuse_stray("arrow", maps, full_maps)
         self.maps = full_maps
         self._key = None
         self._pres = None  # the minimal presentation, cached by homology.min_presentation
@@ -172,21 +172,19 @@ class Representation:
     @classmethod
     def from_json(cls, algebra: BoundQuiverAlgebra, data) -> "Representation":
         dims = {str(v): int(d) for v, d in data["dims"].items()}
-        raw_maps = data.get("maps", {})
-        for kind, keys, known in (("vertex", dims, algebra.vertices),
-                                  ("arrow", raw_maps, [a.name for a in algebra.arrows])):
-            stray = [k for k in keys if k not in known]
-            if stray:
-                raise ValueError(f"{kind} key {stray[0]!r} names no {kind} of the algebra")
-        maps = {}
+        maps = dict(data.get("maps", {}))     # a key that names no arrow is refused unread
         for a in algebra.arrows:
-            rows = dims.get(a.target, 0)
-            cols = dims.get(a.source, 0)
-            raw = raw_maps.get(a.name)
-            if raw is None:
-                continue
-            maps[a.name] = Mat.from_json(raw, rows=rows, cols=cols)
+            if a.name in maps:
+                maps[a.name] = Mat.from_json(maps[a.name], rows=dims.get(a.target, 0),
+                                             cols=dims.get(a.source, 0))
         return cls(algebra, dims, maps)
+
+
+def _refuse_stray(kind: str, given, known: dict):
+    """Raise ValueError naming the first key of ``given`` that names no ``kind`` in ``known``."""
+    if not given.keys() <= known.keys():
+        stray = next(k for k in given if k not in known)
+        raise ValueError(f"{kind} key {stray!r} names no {kind} of the algebra")
 
 
 class Morphism:
@@ -355,32 +353,47 @@ def _intertwining_rows(m: Representation, n: Representation):
     return rows, offsets, total
 
 
-def _morphisms(m: Representation, n: Representation, vecs) -> list[Morphism]:
-    """The kernel vectors ``vecs`` of Hom(m, n)'s system as maps, each divided by its free entry.
-
-    The entries are all Fraction, so each component is trusted as it is sliced.
-    """
-    blocks, base = [], 0
+def _blocks(m: Representation, n: Representation, vec) -> dict:
+    """{v: phi_v as dim n_v slices of dim m_v entries} for ``vec`` in Hom(m, n)'s system."""
+    out, base = {}, 0
     for v in m.algebra.vertices:
         nv, mv = n.dims[v], m.dims[v]
-        if nv and mv:
-            blocks.append((v, nv, mv, base))
+        out[v] = tuple(vec[base + r * mv:base + (r + 1) * mv] for r in range(nv))
         base += nv * mv
-    out = []
-    for col in map(_free_scaled, vecs):
-        comps = {v: Mat._trusted(nv, mv, tuple(col[base + r * mv:base + (r + 1) * mv]
-                                               for r in range(nv)))
-                 for v, nv, mv, base in blocks}
-        out.append(Morphism(m, n, comps, validate=False))
     return out
+
+
+def _image_pivots(n: Representation, sources):
+    """Per vertex v of n, v and the pivots of the block columns at v of every ``(m, vecs)``."""
+    blocks = [_blocks(m, n, vec) for m, vecs in sources for vec in vecs]
+    for v in n.algebra.vertices:
+        yield v, set(reduce_rows([list(c) for b in blocks for c in zip(*b[v])], n.dims[v])[1])
+
+
+def _hom_ints(m: Representation, n: Representation) -> list[list[int]]:
+    """Hom(m, n) as the integer kernel vectors of its intertwining system."""
+    rows, _, total = _intertwining_rows(m, n)
+    return _kernel_ints(rows, total)
+
+
+def _combination(coeffs, vecs) -> list[int]:
+    """sum c_j vecs[j], for integer coefficients and vectors."""
+    return [sum(c * e for c, e in zip(coeffs, entries)) for entries in zip(*vecs)]
+
+
+def _morphisms(m: Representation, n: Representation, vecs) -> list[Morphism]:
+    """The kernel vectors ``vecs`` of Hom(m, n)'s system as maps, each divided by its free entry."""
+    return [Morphism(m, n, {v: Mat._trusted(n.dims[v], m.dims[v], rows)
+                            for v, rows in _blocks(m, n, _free_scaled(vec)).items()},
+                     validate=False)
+            for vec in vecs]
 
 
 def hom_basis(m: Representation, n: Representation) -> list[Morphism]:
     """Canonical basis of Hom(m, n): the kernel of the intertwining system."""
     if m.algebra is not n.algebra:
         raise ValueError("representations over different algebras")
-    rows, _, total = _intertwining_rows(m, n)
-    return _morphisms(m, n, _kernel_ints(rows, total))
+    return _morphisms(m, n, _hom_ints(m, n))
 
 
 def hom_dim(m: Representation, n: Representation) -> int:
@@ -442,15 +455,13 @@ def _pairing_rank(x: Representation, m: Representation) -> int:
     return len(reduce_rows(pairing, len(gs))[1])
 
 
-def _end_radical(x: Representation) -> tuple[list[Morphism], list[list[int]]]:
-    """The basis of End(x) and, as integer coordinate vectors, rad End(x): the trace form's kernel.
+def _end_radical(x: Representation) -> tuple[list[list[int]], list[list[int]]]:
+    """``(fs, rad)``: End(x)'s integer kernel vectors and rad End(x), the trace form's kernel.
 
-    u in the kernel of the integer pairing is sum_j u_j L_j basis[j], L_j the free entry of fs[j].
+    Each u in ``rad`` is the endomorphism sum_j u_j fs[j]; no map is built.
     """
     fs, _, pairing = _pairing(x, x)
-    frees = [_free_entry(f) for f in fs]
-    rad = [[u * s for u, s in zip(vec, frees)] for vec in _kernel_ints(pairing, len(fs))]
-    return _morphisms(x, x, fs), rad
+    return fs, _kernel_ints(pairing, len(fs))
 
 
 # -- constructions ------------------------------------------------------
@@ -626,12 +637,6 @@ def hom_from_projective(algebra: BoundQuiverAlgebra, v: str, m: Representation,
 # -- decomposition ---------------------------------------------------------
 
 
-def _scaled(x: Morphism) -> tuple[int, dict]:
-    """``(d, X)``: the least d making X = d x integral, and X's vertex matrices."""
-    d = lcm(*(e.denominator for c in x.components.values() for row in c.entries for e in row))
-    return d, {v: _times(c.entries, d) for v, c in x.components.items()}
-
-
 def _int_matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     cols = list(zip(*b))
     return [[sum(p * q for p, q in zip(row, col)) for col in cols] for row in a]
@@ -658,21 +663,20 @@ def _krylov_reduce(stored, vec: list[int], comb: list[int]):
     return vec, comb
 
 
-def _min_poly(x: Morphism):
-    """Monic minimal polynomial of the endomorphism x of M, highest degree first.
+def _min_poly(d: int, big: dict):
+    """Monic minimal polynomial of the endomorphism x = X / d of M, highest degree first.
 
-    One integer Krylov pass: the flattened powers X^0, X^1, ... of X = d x
-    are reduced, fraction-free, against the earlier ones, each stored row
-    carrying its combination of powers, down to the first dependency
-    sum c_i X^i = 0 with c_k != 0.  That is the minimal polynomial q_X of
-    X, and x's is q_X(d t) / d^k.  Its degree is at most dim M, so needing
-    more than dim M + 1 powers is an error.
+    ``big`` holds X's integer vertex matrices.  One integer Krylov pass: the
+    flattened powers X^0, X^1, ... are reduced, fraction-free, against the
+    earlier ones, each stored row carrying its combination of powers, down
+    to the first dependency sum c_i X^i = 0 with c_k != 0.  That is the
+    minimal polynomial q_X of X, and x's is q_X(d t) / d^k, whichever d was
+    taken.  Its degree is at most dim M, so needing more than dim M + 1
+    powers is an error.
     """
-    m = x.source
-    d, big = _scaled(x)
     power = {v: [[int(r == c) for c in range(len(mat))] for r in range(len(mat))]
              for v, mat in big.items()}
-    cap = m.total_dim + 1
+    cap = sum(map(len, big.values())) + 1
     stored = []
     for k in range(cap):
         if k:
@@ -686,7 +690,7 @@ def _min_poly(x: Morphism):
             return [Fraction(comb[i], comb[k] * d ** (k - i)) for i in range(k, -1, -1)]
         stored.append((pivot, vec, comb))
     raise RectiltError(f"no minimal polynomial within {cap} powers of an "
-                       f"endomorphism of a module of dimension {m.total_dim}")
+                       f"endomorphism of a module of dimension {cap - 1}")
 
 
 # Past this constant or leading coefficient the rational-root search leaves
@@ -788,12 +792,10 @@ def _primary_spans(coeffs, d: int, big: dict) -> dict:
 def _split_candidates(dim: int):
     """The unit vectors of End/rad, then 64 fixed draws, made only as they are tried."""
     for k in range(dim):
-        unit = [Fraction(0)] * dim
-        unit[k] = Fraction(1)
-        yield unit
+        yield [int(j == k) for j in range(dim)]
     rng = random.Random(0)
     for _ in range(64):
-        yield [_exact(rng.randint(-3, 3)) for _ in range(dim)]
+        yield [rng.randint(-3, 3) for _ in range(dim)]
 
 
 def _split_once(m: Representation):
@@ -806,24 +808,26 @@ def _split_once(m: Representation):
     ker p_i^e_i(x) (Fitting).  rad End(m) is nilpotent, so these factors
     are those of x in End/rad, and a split exists iff End/rad is not a
     division algebra.  A one-dimensional End(m) is Q, so m is
-    indecomposable without the pairing.  Raises PossibleDivisionAlgebra
-    when End/rad has dimension > 1 but no candidate splits.
+    indecomposable.  Raises PossibleDivisionAlgebra when End/rad has
+    dimension > 1 but no candidate splits.  Basis element k is comp_k / L_k,
+    L_k its free entry, so X = d x is integral for d = lcm L_k.
     """
-    basis, rad = _end_radical(m)
-    pivots = set(reduce_rows(rad, len(basis))[1])
-    comp = [f for i, f in enumerate(basis) if i not in pivots]
+    fs, rad = _end_radical(m)
+    pivots = set(reduce_rows(rad, len(fs))[1])
+    comp = [f for i, f in enumerate(fs) if i not in pivots]
     if len(comp) <= 1:
         return None
+    frees = [_free_entry(f) for f in comp]
+    d = lcm(*frees)
     for coords in _split_candidates(len(comp)):
-        if all(c == 0 for c in coords):
+        if not any(coords):
             continue
-        x = _linear_combination(m, m, coords, comp)
-        factors = _primary_factors(_min_poly(x))
+        big = _blocks(m, m, _combination([c * (d // f) for c, f in zip(coords, frees)], comp))
+        factors = _primary_factors(_min_poly(d, big))
         if len(factors) < 2:
             continue
-        scale, big = _scaled(x)
-        pieces = [subrep_from_subspaces(m, _primary_spans(p, scale, big))[0] for p in factors]
-        if any(sum(piece.dims[v] for piece in pieces) != d for v, d in m.dims.items()):
+        pieces = [subrep_from_subspaces(m, _primary_spans(p, d, big))[0] for p in factors]
+        if any(sum(piece.dims[v] for piece in pieces) != n for v, n in m.dims.items()):
             raise RectiltError("the primary kernels of an endomorphism do not add up to M")
         return pieces
     raise PossibleDivisionAlgebra(

@@ -10,13 +10,15 @@ The construction takes each projective P(v) to its minimal left
 add(T)-approximation (Auslander-Smalo).  Hom(P(v), X) = X_v, and a map
 P(v) -> T_i is needed in the approximation only modulo those that factor
 through a radical map into T_i: all of Hom(T_j, T_i) for j != i and rad
-End(T_i).  Their images at v span R_i(v), so the approximation sends P(v)
-to T_i once per vector of a complement of R_i(v) in (T_i)_v.  Any other
-left approximation is this one plus a split summand 0 -> T' with T' in
-add(T), so injectivity and "cokernel in add(T)" give the same verdicts
-as the non-minimal P(v) -> T^{dim Hom(P(v), T)}, on far smaller
-cokernels.  Were End(T_i)/rad larger than Q, the map would no longer be
-minimal but still an approximation, since rad(add T) is nilpotent.
+End(T_i).  Their images at v span R_i(v), whose pivots are read in
+integers off the kernel vectors (no map is built), so the approximation
+sends P(v) to T_i once per unit vector off those pivots: a complement of
+R_i(v) in (T_i)_v.  Any other left approximation is this one plus a
+split summand 0 -> T' with T' in add(T), so injectivity and "cokernel in
+add(T)" give the same verdicts as the non-minimal P(v) -> T^{dim
+Hom(P(v), T)}, on far smaller cokernels.  Were End(T_i)/rad larger than
+Q, the map would no longer be minimal but still an approximation, since
+rad(add T) is nilpotent.
 """
 
 from __future__ import annotations
@@ -25,15 +27,16 @@ from dataclasses import dataclass, field
 
 from .errors import RectiltError
 from .homology import Roster, ext1_dim, proj_dim
-from .linalg import Mat, _kernel_ints, reduce_rows, rref
+from .linalg import Mat
 from .rep import (
     Morphism,
     Representation,
     SES,
     _add_pieces,
+    _combination,
     _end_radical,
-    _intertwining_rows,
-    _linear_combination,
+    _hom_ints,
+    _image_pivots,
     basic_summands,
     cokernel,
     decompose,
@@ -133,12 +136,12 @@ def _certify_tilting(cert: TiltingCertificate, classes) -> TiltingCertificate:
     cert.classes = classes
     cert.indecomposable_count = len(classes)
     cert.simple_count = len(alg.vertices)
-    units, radical_spans = _class_radicals(classes)
+    units, radical_pivots = _class_radicals(classes)
     # approximate each projective separately; the sequences add up
     mid_dims = []
     cok_dims = []
     for v in alg.vertices:
-        approx = _left_approximation(alg, v, classes, radical_spans)
+        approx = _left_approximation(alg, v, classes, radical_pivots)
         mid_dims.append(approx.target.dim_vector())
         if not approx.is_injective():
             cert.t3_witness = _t3_witness(alg, v, "not_injective", mid_dims[-1])
@@ -168,32 +171,27 @@ def _t3_witness(alg, v, failure: str, dims: tuple) -> dict:
 
 
 def _class_radicals(classes):
-    """(units, spans): rank P(T_i, T_i) and R_i(v) as columns, per class and vertex.
+    """(units, pivots): rank P(T_i, T_i), and the pivots of R_i(v) per class and vertex.
 
     R_i(v) is spanned by the images at v of Hom(T_j, T_i), j != i, and of
-    rad End(T_i), the kernel of the trace form on End(T_i) (Dickson).
+    rad End(T_i), the kernel of the trace form on End(T_i) (Dickson).  Both
+    are read as integer columns off the kernel vectors of the intertwining
+    systems; no map is built.
     """
-    units, spans = [], []
+    units, pivots = [], []
     for i, x in enumerate(classes):
-        ends, rad = _end_radical(x)
-        units.append(len(ends) - len(rad))
-        radical = [_linear_combination(x, x, coords, ends) for coords in rad]
-        radical += [g for j, y in enumerate(classes) if j != i for g in hom_basis(y, x)]
-        spans.append({v: Mat.hstack([g.components[v] for g in radical], rows=x.dims[v])
-                      for v in x.algebra.vertices})
-    return units, spans
+        fs, rad = _end_radical(x)
+        units.append(len(fs) - len(rad))
+        sources = [(y, _hom_ints(y, x)) for j, y in enumerate(classes) if j != i]
+        pivots.append(dict(_image_pivots(x, [(x, [_combination(u, fs) for u in rad])] + sources)))
+    return units, pivots
 
 
-def _left_approximation(alg, v, classes, radical_spans) -> Morphism:
+def _left_approximation(alg, v, classes, radical_pivots) -> Morphism:
     """P(v) -> sum of T_i, once per unit vector off the pivots of R_i(v)."""
-    legs = []
-    for x, span in zip(classes, radical_spans):
-        pivots = set(rref(span[v].transpose())[1])
-        for k in range(x.dims[v]):
-            if k not in pivots:
-                unit = [0] * x.dims[v]
-                unit[k] = 1
-                legs.append(hom_from_projective(alg, v, x, unit))
+    legs = [hom_from_projective(alg, v, x, [int(j == k) for j in range(x.dims[v])])
+            for x, pivots in zip(classes, radical_pivots)
+            for k in range(x.dims[v]) if k not in pivots[v]]
     pv = projective(alg, v)
     target = direct_sum(alg, [f.target for f in legs])
     comps = {w: Mat.vstack([f.components[w] for f in legs], cols=pv.dims[w])
@@ -219,24 +217,16 @@ def _classify(t: Representation, m: Representation) -> str:
     """Where m lies: Gen t ("torsion"), t-perp ("free") or "neither", from one integer kernel.
 
     The trace is the span of the images of a Hom(t, m) basis, so m is
-    torsion when those images have full rank at every vertex.  The
-    kernel vectors of the intertwining system are such a basis, scaled to
-    integers; the columns of their blocks f_v span the image at v.  An
-    empty kernel makes m free unless m = 0, which lies in both classes
-    and is called torsion.  No map is built.
+    torsion when those images have full rank at every vertex; the integer
+    kernel vectors are such a basis (``_image_pivots``).  An empty kernel
+    makes m free unless m = 0, which lies in both classes and is called
+    torsion.  No map is built.
     """
-    rows, offsets, total = _intertwining_rows(t, m)
-    basis = _kernel_ints(rows, total)
+    basis = _hom_ints(t, m)
     if not basis:
         return "torsion" if m.is_zero() else "free"
-    for v in m.algebra.vertices:
-        mv, tv = m.dims[v], t.dims[v]
-        base = offsets[v]
-        # column a of f_v holds unknowns base + b * tv + a, b < mv
-        cols = [[f[base + b * tv + a] for b in range(mv)] for f in basis for a in range(tv)]
-        if len(reduce_rows(cols, mv)[1]) < mv:
-            return "neither"
-    return "torsion"
+    full = all(len(p) == m.dims[v] for v, p in _image_pivots(m, [(t, basis)]))
+    return "torsion" if full else "neither"
 
 
 def gen_member(t: Representation, m: Representation) -> bool:

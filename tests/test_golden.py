@@ -8,6 +8,8 @@ the text byte for byte.
 """
 
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 from rectilt.fixtures import corpus
@@ -16,6 +18,7 @@ from rectilt.recollement import check_exactness, split_context
 from rectilt.rep import direct_sum, projective, simple
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "paper_certificates.json"
+DIGEST = Path(__file__).resolve().parent / "certificate_digest.py"
 
 
 def _restriction(res):
@@ -53,3 +56,10 @@ def paper_certificates() -> dict:
 def test_paper_certificates_match_golden_file():
     text = json.dumps(paper_certificates(), indent=1, sort_keys=True) + "\n"
     assert text == GOLDEN.read_text()
+
+
+def test_benchmark_certificates_match_their_pinned_digests():
+    # the benchmark's 156 verdicts, byte for byte; the script sets its own import path
+    proc = subprocess.run([sys.executable, str(DIGEST), "--check"], cwd=DIGEST.parent.parent,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

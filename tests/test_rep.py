@@ -19,7 +19,7 @@ from rectilt import tilting as tilting_module
 from rectilt.algebra import Quiver, Relation, build_algebra
 from rectilt.errors import PossibleDivisionAlgebra, RectiltError
 from rectilt.homology import enumerate_roster, projective_cover, tensor_dim_data
-from rectilt.linalg import Mat, kernel_basis, quotient, rank, rref, solve
+from rectilt.linalg import Mat, _free_entry, kernel_basis, quotient, rank, rref, solve
 from rectilt.rep import (
     SES,
     Morphism,
@@ -83,6 +83,18 @@ def test_from_json_refuses_keys_that_name_nothing(outer):
         Representation.from_json(outer, misspelled)
     with pytest.raises(ValueError, match="'6'"):
         Representation.from_json(outer, {"dims": {**data["dims"], "6": 1}, "maps": data["maps"]})
+
+
+def test_construction_refuses_keys_that_name_nothing(outer):
+    with pytest.raises(ValueError, match="vertex key '9'"):
+        simple(outer, "9")
+    with pytest.raises(ValueError, match="vertex key '6'"):
+        Representation(outer, {"3": 1, "4": 1, "6": 2}, {"alpha": Mat.identity(1)})
+    with pytest.raises(ValueError, match="arrow key 'alfa'"):
+        Representation(outer, {"3": 1, "4": 1}, {"alfa": Mat.identity(1)})
+    # a vertex or arrow left out is zero, as before
+    m = Representation(outer, {"3": 1, "4": 1}, {"alpha": Mat.identity(1)})
+    assert m == projective(outer, "3") and m.dims["5"] == 0
 
 
 def test_relation_violation_is_rejected(outer):
@@ -606,6 +618,14 @@ def _solve_loop_min_poly(x):
     raise AssertionError("Cayley-Hamilton bounds the degree by dim M")
 
 
+def _integer_blocks(x, extra=1):
+    """``(d, X)``: d is ``extra`` times the least d making X = d x integral; X's vertex matrices."""
+    d = extra * lcm(*(e.denominator for c in x.components.values() for row in c.entries
+                      for e in row))
+    return d, {v: [[int(e * d) for e in row] for row in c.entries]
+               for v, c in x.components.items()}
+
+
 def _poly_at(coeffs, x):
     """coeffs(x) by Horner's rule, vertex by vertex, in Fractions."""
     out = {}
@@ -637,10 +657,12 @@ def test_integer_systems_match_fraction_references(rosters, data):
     coeffs = data.draw(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=3),
                                 min_size=len(ends), max_size=len(ends)), label="x")
     x = rep_module._linear_combination(m, m, coeffs, ends)
-    poly = rep_module._min_poly(x)
+    poly = rep_module._min_poly(*_integer_blocks(x))
     assert poly[0] == 1
     assert all(c.is_zero() for c in _poly_at(poly, x).values())
     assert poly == _solve_loop_min_poly(x)
+    # the monic polynomial does not depend on which d makes X = d x integral
+    assert rep_module._min_poly(*_integer_blocks(x, 6)) == poly
 
     # N = D n, a right module with fractional maps; then DN = n
     system, offsets, total = _fraction_system(m, n)
@@ -760,12 +782,17 @@ def test_integer_ranks_agree_with_the_maps_on_radical_endomorphisms(mods):
 def test_integer_pairing_answers_as_the_fraction_pairing(mods):
     mods = mods()
     for x in mods:
-        basis, rad = rep_module._end_radical(x)
+        fs, rad = rep_module._end_radical(x)
         want = kernel_basis(_reference_pairing(x, x)[2])
-        assert basis == hom_basis(x, x)
-        got = Mat.from_rows(rad) if rad else Mat.zeros(0, len(basis))
+        # fs[j] is the j-th basis map times its free entry L_j
+        frees = [_free_entry(f) for f in fs]
+        assert [[Fraction(e, s) for e in f] for f, s in zip(fs, frees)] == [
+            flatten_morphism(g) for g in hom_basis(x, x)]
+        # u in rad is sum u_j fs[j], so its coordinates in the basis are u_j L_j
+        got = Mat.from_rows([[u * s for u, s in zip(vec, frees)] for vec in rad]) if rad \
+            else Mat.zeros(0, len(fs))
         assert rref(got) == rref(want.transpose())
-        assert rep_module._unit_rank(x) == len(basis) - want.cols
+        assert rep_module._unit_rank(x) == len(fs) - want.cols
     isomorphic = 0
     for m in mods:
         for n in mods:

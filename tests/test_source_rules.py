@@ -87,6 +87,18 @@ def test_gluing_compares_classes_by_roster_index():
     assert not found, found
 
 
+def test_hom_system_layout_is_read_only_in_rep():
+    # rep._blocks reads a Hom-system vector's layout; tilting and gluing take
+    # kernels, images and radicals from rep and never see the system itself
+    banned = {"_intertwining_rows", "_kernel_ints"}
+    found = [f"{name}:{node.lineno} {alias.name}"
+             for name in ("tilting.py", "gluing.py")
+             for node in ast.walk(ast.parse((SRC / name).read_text()))
+             if isinstance(node, ast.ImportFrom)
+             for alias in node.names if alias.name in banned]
+    assert not found, found
+
+
 def test_no_true_division_outside_path_joins():
     # "/" on two int entries gives a float, which is no longer exact; fixtures.py
     # uses it only to join pathlib paths

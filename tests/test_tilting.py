@@ -2,16 +2,19 @@
 
 import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 
+from rectilt import rep as rep_module
 from rectilt import tilting as tilting_module
 from rectilt.algebra import Quiver, build_algebra
 from rectilt.errors import RectiltError
 from rectilt.homology import enumerate_roster, ext1_dim, proj_dim, tau_inverse
-from rectilt.linalg import Mat
+from rectilt.linalg import Mat, kernel_basis, rref
 from rectilt.rep import (
     Morphism,
+    _linear_combination,
     cokernel,
     decompose,
     direct_sum,
@@ -36,6 +39,7 @@ from rectilt.tilting import (
     torsion_decompose,
     trace,
 )
+from test_rep import _cyclic_nakayama, _reference_pairing, _truncated_polynomials
 
 
 def by_dims(roster, dims):
@@ -160,6 +164,66 @@ def test_minimal_approximation_matches_reference(glued, monkeypatch):
         assert built
         for v, mid in built:
             assert all(a <= b for a, b in zip(mid, middles[v])), (t.to_json(), v)
+
+
+def _reference_class_radicals(classes):
+    """``_class_radicals`` from maps: Hom bases, rad End off the Fraction trace form, rref pivots."""
+    units, pivots = [], []
+    for i, x in enumerate(classes):
+        ends, _, pairing = _reference_pairing(x, x)
+        rad = kernel_basis(pairing)
+        units.append(len(ends) - rad.cols)
+        radical = [_linear_combination(x, x, rad.col(k), ends) for k in range(rad.cols)]
+        radical += [g for j, y in enumerate(classes) if j != i for g in hom_basis(y, x)]
+        pivots.append({v: set(rref(Mat.hstack([g.components[v] for g in radical],
+                                              rows=x.dims[v]).transpose())[1])
+                       for v in x.algebra.vertices})
+    return units, pivots
+
+
+def test_integer_radical_pivots_match_the_maps(glued):
+    # thin modules of directed algebras have no radical endomorphisms, so a
+    # transposed block in the rad path would pass the roster sums; k[x]/(x^3)
+    # and the cyclic Nakayama algebra have them, rationally conjugated too
+    sums = differential_inputs(glued)
+    for mods in (_truncated_polynomials(), _cyclic_nakayama()):
+        alg = mods[0].algebra
+        sums += [direct_sum(alg, mods[:k]) for k in range(1, 5)]
+        sums += [direct_sum(alg, [m, n]) for m, n in itertools.combinations(mods, 2)
+                 if m.total_dim + n.total_dim <= 9]
+    with_radical = 0
+    for t in sums:
+        classes = [x for x, _ in decompose(t)]
+        want = _reference_class_radicals(classes)
+        assert tilting_module._class_radicals(classes) == want, t.to_json()
+        with_radical += len(classes) > 1 and any(
+            len(hom_basis(x, x)) > unit for x, unit in zip(classes, want[0]))
+    assert with_radical >= 10
+
+
+def test_splitting_and_radicals_build_no_maps(monkeypatch):
+    # the splitting element and R_i(v) are read in integers; maps start at the pieces
+    mods = _truncated_polynomials() + _cyclic_nakayama()
+    splits = [m for m in mods if len(decompose(m)) > 1 or decompose(m)[0][1] > 1]
+    splits += [direct_sum(m.algebra, [m, m]) for m in mods if m.total_dim <= 3]
+    class_lists = [[x for x, _ in decompose(m)] for m in splits]
+    want = ([[p.dim_vector() for p in rep_module._split_once(m)] for m in splits],
+            [tilting_module._class_radicals(c) for c in class_lists])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a map was built")
+
+    for target, name in ((rep_module, "hom_basis"), (tilting_module, "hom_basis"),
+                         (rep_module, "_linear_combination"), (Morphism, "__init__"),
+                         (Mat, "__init__")):
+        monkeypatch.setattr(target, name, refuse)
+    # a piece stands in by its dimensions, so nothing builds a module either
+    monkeypatch.setattr(rep_module, "subrep_from_subspaces", lambda m, spans: (
+        SimpleNamespace(dims={v: s.cols for v, s in spans.items()}), None))
+    got = ([[tuple(p.dims.values()) for p in rep_module._split_once(m)] for m in splits],
+           [tilting_module._class_radicals(c) for c in class_lists])
+    assert got == want
+    assert len(splits) >= 8
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
