@@ -23,14 +23,14 @@ DEFAULT_LENGTH_CAP = 30
 _ASSOC_CHECK_MAX_DIM = 80
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Arrow:
     name: str
     source: str
     target: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Path:
     """A path of the quiver: source vertex plus arrows in application order."""
 
@@ -42,6 +42,8 @@ class Path:
 
 
 class Quiver:
+    __slots__ = ("vertices", "arrows", "_arrow_by_name")
+
     def __init__(self, vertices, arrows):
         self.vertices = tuple(str(v) for v in vertices)
         if len(set(self.vertices)) != len(self.vertices):
@@ -76,6 +78,8 @@ class Quiver:
 
 class Relation:
     """A parallel linear combination of paths, each of length >= 2."""
+
+    __slots__ = ("terms",)
 
     def __init__(self, terms):
         self.terms = tuple((_exact(c), tuple(p)) for c, p in terms)

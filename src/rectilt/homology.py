@@ -6,8 +6,8 @@ cokernel is the balanced tensor N (x)_A X, since N (x)_A X =
 D Hom_A(X, DN) (Auslander-Reiten-Smalo, ch. II).  The second is one
 resolution step, the minimal presentation 0 -> Omega -> P0 -> M -> 0.
 The cover lifts the top of M one vertex at a time: the quotient of M_v by
-the arrow images, then one solve against the identity.  pd, Ext^k and
-Tr M walk these steps.
+the arrow images, then one solve against the identity.  pd and Ext^k
+walk these steps; Tr M takes one and reads P1 off the lifted top of Omega.
 
 Ext^1 classes are realized through the syzygy: a cocycle is a morphism
 Omega -> N modulo restrictions of P0 -> N, and the extension with that
@@ -93,24 +93,29 @@ class ProjectivePresentation:
     cover_vertices: list[str]        # one entry per indecomposable summand of P0
 
 
-def projective_cover(m: Representation) -> tuple[Representation, Morphism, list[str]]:
-    """Minimal cover: one P(v) per top basis vector, mapped through lifted tops.
+def _top_lifts(m: Representation):
+    """(v, gens) per vertex v with M_v nonzero; gens lifts a basis of top(M)_v.
 
-    At each vertex v the top is the quotient of M_v by the arrow images,
-    and one solve against the identity lifts its whole basis to M_v.
+    The top at v is M_v modulo the arrow images; one solve lifts it all.
     """
-    alg = m.algebra
     spans = _arrow_image_spans(m)
-    pieces = []
-    vertices = []
-    for v in alg.vertices:
+    for v in m.algebra.vertices:
         if not m.dims[v]:
             continue
         dim, proj = quotient(m.dims[v], spans[v])
         gens = solve(proj, Mat.identity(dim))
         if gens is None:
             raise RectiltError("top projection must be surjective")
-        for k in range(dim):
+        yield v, gens
+
+
+def projective_cover(m: Representation) -> tuple[Representation, Morphism, list[str]]:
+    """Minimal cover: one P(v) per top basis vector, mapped through lifted tops."""
+    alg = m.algebra
+    pieces = []
+    vertices = []
+    for v, gens in _top_lifts(m):
+        for k in range(gens.cols):
             pieces.append(hom_from_projective(alg, v, m, gens.col(k)))
             vertices.append(v)
     if not pieces:
@@ -364,37 +369,32 @@ def tor1_right(nright: Representation, s: Representation) -> int:
 
 
 def transpose(m: Representation) -> Representation:
-    """Tr M over the opposite algebra, from a minimal presentation.
+    """Tr M over the opposite algebra, from a minimal presentation P1 -> P0.
 
-    Writes the presentation matrix P1 -> P0 as path-class coefficients;
-    Hom(-, A) turns those right multiplications into left multiplications
-    between the dual projectives, and Tr M is the cokernel of the map
-    R0 -> R1 they make up.  R0 and R1 are sums of opposite projectives,
-    one summand per summand of P0 and of P1.  Summand k of P0 and summand
-    l of P1 give one leg P_op(v_k) -> P_op(u_l); at each vertex the image
-    of summand k of R0 is its legs stacked over l, and Tr M is R1 modulo
-    those images.
+    P1's summand l is P(u_l) for a lift of a basis vector of top(Omega),
+    and its generator maps into P0 by that lift's image, written as
+    path-class coefficients; the lifts generate Omega (Nakayama), so
+    Omega needs no cover.  Hom(-, A) turns those right multiplications
+    into left multiplications between the dual projectives R0 and R1,
+    one opposite projective per summand of P0 and of P1.  Summand k of
+    P0 and summand l of P1 give one leg P_op(v_k) -> P_op(u_l); Tr M is
+    R1 modulo the images of R0's summands, their legs stacked over l.
     """
     alg = m.algebra
     opp = alg.opposite()
     pres = min_presentation(m)
-    _, surj1, p1_verts = projective_cover(pres.syzygy)
-    p0_verts = pres.cover_vertices
-    if not p1_verts:
+    # (u_l, image of generator l in P0 at u_l), the image running through P0's blocks in order
+    p1 = [(u, image) for u, gens in _top_lifts(pres.syzygy)
+          for image in (pres.inclusion.components[u] @ gens).transpose().entries]
+    if not p1:
         return zero_rep(opp)
-    d = pres.inclusion.compose(surj1)  # P1 -> P0
-    r0_parts = [projective(opp, v) for v in p0_verts]
-    r1_parts = [projective(opp, u) for u in p1_verts]
+    r0_parts = [projective(opp, v) for v in pres.cover_vertices]
+    r1_parts = [projective(opp, u) for u, _ in p1]
     legs = []                                  # legs[l][k]: P_op(v_k) -> P_op(u_l)
-    start = {w: 0 for w in alg.vertices}       # where summand l of P1 starts
-    for u, target in zip(p1_verts, r1_parts):
-        # the generator of summand l is the trivial path, first in its block;
-        # its image at u runs through the blocks of P0's summands in order
-        col = iter(d.components[u].col(start[u]))
-        for w in alg.vertices:
-            start[w] += len(alg.paths_between(u, w))
+    for (u, image), target in zip(p1, r1_parts):
+        col = iter(image)
         row = []
-        for v, source in zip(p0_verts, r0_parts):
+        for v, source in zip(pres.cover_vertices, r0_parts):
             paths_vu = alg.paths_between(v, u)
             coeffs = list(islice(col, len(paths_vu)))
             if not any(coeffs):
@@ -415,7 +415,7 @@ def transpose(m: Representation) -> Representation:
         legs.append(row)
     r1 = direct_sum(opp, r1_parts)
     spans = {w: Mat.hstack([Mat.vstack([row[k].components[w] for row in legs])
-                            for k in range(len(p0_verts))], rows=r1.dims[w])
+                            for k in range(len(r0_parts))], rows=r1.dims[w])
              for w in opp.vertices}
     return quotient_rep(r1, spans)[0]
 

@@ -1,5 +1,6 @@
 """Path-class bases, multiplication and opposites on the fixture algebras."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,9 @@ from hypothesis import strategies as st
 
 from rectilt import fixtures
 from rectilt.algebra import (
+    Arrow,
     BoundQuiverAlgebra,
+    Path,
     Quiver,
     Relation,
     algebra_from_json,
@@ -238,3 +241,18 @@ def test_paths_between_is_memoized_and_matches_a_scan():
             assert found is A.paths_between(s, t)
             assert found == tuple(i for i, p in enumerate(A.basis)
                                   if p.source == s and A.basis_target(i) == t)
+
+
+def test_quiver_objects_hold_no_instance_dict():
+    # an algebra keeps its quiver, arrows, basis paths and relations for its whole life
+    A = glued()
+    arrow, path, rel = A.arrows[0], A.basis[-1], A.relations[0]
+    for obj in (A.quiver, arrow, path, rel):
+        assert not hasattr(obj, "__dict__"), type(obj).__name__
+    for obj, field in ((arrow, "name"), (path, "source")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, field, "z")
+    for cls, fields in ((Arrow, ("a", "1", "2")), (Path, ("1", ("a", "b")))):
+        x, y = cls(*fields), cls(*fields)
+        assert x == y and x is not y and hash(x) == hash(y) == hash(fields)
+        assert x != cls(*fields[:-1], "3") and len({x, y}) == 1

@@ -1,6 +1,7 @@
 """Covers, Ext/Tor, the AR translate and roster enumeration."""
 
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement, islice
 
@@ -301,6 +302,37 @@ def test_transpose_of_projective_is_zero(inner):
     assert transpose(projective(inner, "1")).is_zero()
 
 
+def test_tau_and_tau_inverse_invert_each_other_on_rosters(glued, product_algebra,
+                                                          mutated_algebra):
+    # tau and tau^-1 are mutually inverse between the non-projective and the
+    # non-injective indecomposables (Auslander-Reiten-Smalo, ch. IV)
+    for alg in [glued, product_algebra, mutated_algebra] + [seeded_type_a(s) for s in range(8)]:
+        for x in enumerate_roster(alg).modules:
+            if not (t := tau(x)).is_zero():
+                assert same_class(tau_inverse(t), x), x.dim_vector()
+            if not (t := tau_inverse(x)).is_zero():
+                assert same_class(tau(t), x), x.dim_vector()
+
+
+def test_transpose_builds_one_cover(glued, monkeypatch):
+    # P1's generators are read off the top of Omega, so the only cover is P0's
+    callers = []
+    cover = homology_module.projective_cover
+
+    def counted(m):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return cover(m)
+
+    monkeypatch.setattr(homology_module, "projective_cover", counted)
+    nonzero = 0
+    for x in enumerate_roster(glued).modules:
+        fresh = Representation(glued, x.dims, x.maps)
+        callers.clear()
+        nonzero += not transpose(fresh).is_zero()
+        assert callers == ["min_presentation"], x.dim_vector()
+    assert nonzero
+
+
 # -- roster ------------------------------------------------------------------------
 
 def test_roster_a2(inner):
@@ -449,10 +481,10 @@ def tau_inverse_reference(m):
     return zero_rep(m.algebra) if tr.is_zero() else tr
 
 
-def seeded_type_a(seed):
-    """A type A quiver on 3..6 vertices with seeded orientation and zero relations."""
+def seeded_type_a(seed, n=None):
+    """A type A quiver on n (else 3..6) vertices with seeded orientation and zero relations."""
     rng = random.Random(seed)
-    n = rng.randint(3, 6)
+    n = rng.randint(3, 6) if n is None else n
     forward = [rng.random() < 0.5 for _ in range(n - 1)]
     arrows = [(f"x{k}", str(k), str(k + 1)) if forward[k - 1] else
               (f"x{k}", str(k + 1), str(k)) for k in range(1, n)]
@@ -464,7 +496,9 @@ def seeded_type_a(seed):
 
 def test_transpose_matches_full_size_assembly(glued, product_algebra, mutated_algebra):
     rng = random.Random(0)
-    for alg in [glued, product_algebra, mutated_algebra] + [seeded_type_a(s) for s in range(8)]:
+    # the 8-vertex algebra has the size of the benchmark's random type A quivers
+    for alg in ([glued, product_algebra, mutated_algebra] + [seeded_type_a(s) for s in range(8)]
+                + [seeded_type_a(8, n=8)]):
         roster = enumerate_roster(alg).modules
         # sums put several summands into P0 and P1, so blocks sit off the diagonal
         sums = [direct_sum(alg, rng.sample(roster, 2)) for _ in range(3)]
