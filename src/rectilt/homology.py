@@ -9,14 +9,17 @@ The cover lifts the top of M one vertex at a time: the quotient of M_v by
 the arrow images, then one solve against the identity.  pd and Ext^k
 walk these steps; Tr M takes one and reads P1 off the lifted top of Omega.
 
+dim Ext^1, dim Tor_1 and splitness are Hom dimensions counted over exact
+sequences, with no map built; Tor_1 against a right module N (stored as a
+representation of the opposite algebra) is D Ext^1(-, DN).
+
 Ext^1 classes are realized through the syzygy: a cocycle is a morphism
 Omega -> N modulo restrictions of P0 -> N, and the extension with that
 class is the pushout E of Omega -> P0 along the cocycle.  Its map onto M
 is the unique h with h o [leg_N | leg_P0] = [0 | P0 ->> M], solved vertex
 by vertex.  Maps into or out of a direct sum are written as stacked
 blocks: a map into a sum stacks its components, a map out of one sets
-its legs side by side.  Tor is computed against right modules, which are
-stored as representations of the opposite algebra.
+its legs side by side.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from itertools import islice
 
 from .algebra import BoundQuiverAlgebra, Path
 from .errors import CapExceeded, RectiltError
-from .linalg import Mat, _exact, quotient, rank, solve
+from .linalg import Mat, _exact, quotient, solve
 from .rep import (
     Morphism,
     Representation,
@@ -227,7 +230,11 @@ def ext1(m: Representation, n: Representation) -> ExtSpace:
 
 
 def ext1_dim(m: Representation, n: Representation) -> int:
-    return ext1(m, n).dimension
+    """dim Ext^1(M, N) off 0 -> Hom(M, N) -> Hom(P0, N) -> Hom(Omega, N) -> Ext^1 -> 0."""
+    # Hom(P(v), N) = N_v for each summand P(v) of P0
+    pres = min_presentation(m)
+    return (hom_dim(pres.syzygy, n) - sum(n.dims[v] for v in pres.cover_vertices)
+            + hom_dim(m, n))
 
 
 def _pushout_extension(pres: ProjectivePresentation, cocycle: Morphism) -> SES:
@@ -281,13 +288,9 @@ def universal_extension(e: ExtSpace) -> SES:
 
 
 def is_split(ses: SES) -> bool:
-    """Split iff the projection admits a section, found by linear solving."""
-    cands = hom_basis(ses.right, ses.middle)
-    if not cands:
-        return ses.right.is_zero()
-    rows = [flatten_morphism(ses.project.compose(f)) for f in cands]
-    want = flatten_morphism(identity_morphism(ses.right))
-    return solve(Mat.from_rows(rows).transpose(), Mat.column(want)) is not None
+    """Split iff Hom(C, B) -> End(C) is onto; 0 -> Hom(C, A) -> Hom(C, B) -> End(C) is exact."""
+    c = ses.right
+    return hom_dim(c, ses.middle) == hom_dim(c, ses.left) + hom_dim(c, c)
 
 
 def ext_k(m: Representation, n: Representation, k: int, cap: int | None = None) -> int:
@@ -316,9 +319,9 @@ def tensor_dim_data(nright: Representation, x: Representation):
     vertices w of N_w (x) X_w, with n_r (x) x_q at ``offsets[w] + r * dim X_w
     + q``, and ``proj`` maps it onto the balanced quotient.  The balancing
     relations are the rows of Hom_A(X, DN)'s intertwining system, DN
-    having the transposed maps of N: N (x)_A X = D Hom_A(X, DN).  Tor uses
-    it with N a right module; the recollement's j_! uses it with the
-    factors swapped, Y (x) e_vN over the opposite of the outer algebra.
+    having the transposed maps of N: N (x)_A X = D Hom_A(X, DN).  The
+    recollement's j_! uses it with the factors swapped, Y (x) e_vN over
+    the opposite of the outer algebra.
     """
     alg = x.algebra
     if nright.algebra is not alg.opposite():
@@ -336,14 +339,8 @@ def tensor_dim(nright: Representation, x: Representation) -> int:
     return tensor_dim_data(nright, x)[0]
 
 
-def tensor_map(nright: Representation, f: Morphism):
-    """(dim_src, dim_tgt, matrix of N (x) f)."""
-    return tensor_map_between(nright, f, tensor_dim_data(nright, f.source),
-                              tensor_dim_data(nright, f.target))
-
-
 def tensor_map_between(nright: Representation, f: Morphism, src_data, tgt_data):
-    """``tensor_map`` given ``tensor_dim_data`` of f's source and of its target."""
+    """(dim_src, dim_tgt, N (x) f's matrix), given ``tensor_dim_data`` of f.source and f.target."""
     dsrc, psrc = src_data[:2]
     dtgt, ptgt = tgt_data[:2]
     # on the raw space, a sum of N_v copies of each f.source_v, f acts copy by copy
@@ -357,12 +354,8 @@ def tensor_map_between(nright: Representation, f: Morphism, src_data, tgt_data):
 
 
 def tor1_right(nright: Representation, s: Representation) -> int:
-    """dim Tor_1(N, S) = dim ker(N (x) Omega -> N (x) P0)."""
-    pres = min_presentation(s)
-    if pres.syzygy.is_zero():
-        return 0
-    dsrc, _, mat = tensor_map(nright, pres.inclusion)
-    return dsrc - rank(mat)
+    """dim Tor_1(N, S) = dim Ext^1(S, DN) for N over A^op, as D(N (x)_A -) = Hom_A(-, DN)."""
+    return ext1_dim(s, dual(nright))
 
 
 # -- transpose and the AR translate ------------------------------------------

@@ -6,8 +6,7 @@ algebras are the full subquivers with their induced relations.  The
 crossing path classes, from V'' to V', span the bimodule N that ties them
 together.  j_! is computed one inner vertex v at a time: e_vN, the
 crossing classes ending at v, is a right outer-algebra module, and
-(N (x) Y)_v is ``tensor_dim_data(Y, e_vN)``, the balanced tensor quotient
-that Tor uses too.
+(N (x) Y)_v is ``tensor_dim_data(Y, e_vN)``, the balanced tensor quotient.
 
 Functor dictionary (modules as triples (X, Y)_f):
 
@@ -340,9 +339,14 @@ class ExactnessReport:
         return all(v == 0 for v in self.i_upper_star_tor.values())
 
     def functor_exact(self, name: str) -> bool:
+        """Whether the functor ``name`` is exact; only its own Tor_1 family is computed."""
         if name in self.structural:
             return self.structural[name]
-        return {"j_!": self.j_shriek_exact, "i*": self.i_upper_star_exact}[name]
+        if name == "j_!":
+            return self.j_shriek_exact
+        if name == "i*":
+            return self.i_upper_star_exact
+        raise ValueError(f"unknown functor {name!r}; expected one of {FUNCTOR_NAMES}")
 
     def to_json(self):
         return {

@@ -28,7 +28,7 @@ from rectilt.homology import (
     tau_inverse,
     tensor_dim,
     tensor_dim_data,
-    tensor_map,
+    tensor_map_between,
     top,
     tor1_right,
     transpose,
@@ -43,6 +43,7 @@ from rectilt.rep import (
     decompose,
     direct_sum,
     dual,
+    flatten_morphism,
     hom_basis,
     hom_dim,
     hom_from_projective,
@@ -226,13 +227,20 @@ def test_tensor_with_right_projective_gives_vertex_dims(outer):
             assert tensor_dim(nright, simple(outer, w)) == (1 if v == w else 0)
 
 
+def tensor_map(nright, f):
+    """N (x) f through ``tensor_map_between``, with the tensor data of f's ends built here."""
+    return tensor_map_between(nright, f, tensor_dim_data(nright, f.source),
+                              tensor_dim_data(nright, f.target))
+
+
 def test_tensor_map_check_is_an_error_not_an_assert(outer, monkeypatch):
     # the descent check must still fire under ``python -O``
     nright = projective(outer.opposite(), "4")
-    pres = min_presentation(simple(outer, "3"))
+    f = min_presentation(simple(outer, "3")).inclusion
+    data = tensor_dim_data(nright, f.source), tensor_dim_data(nright, f.target)
     monkeypatch.setattr(homology_module, "solve", lambda mat, rhs: None)
     with pytest.raises(RectiltError, match="does not descend"):
-        tensor_map(nright, pres.inclusion)
+        tensor_map_between(nright, f, *data)
 
 
 def tensor_map_reference(nright, f):
@@ -273,6 +281,121 @@ def test_tor1_positive_for_nonflat_right_module(outer):
     opp = outer.opposite()
     nright = simple(opp, "4")   # S(4) as a right module: not flat
     assert tor1_right(nright, simple(outer, "3")) == 1
+
+
+def test_tor1_rejects_a_right_module_over_another_algebra(inner, outer):
+    # S(5) is projective over outer, so Tor_1 with it vanishes whatever N is; N is still refused
+    for s in (simple(outer, "3"), simple(outer, "5")):
+        for nright in (projective(inner.opposite(), "1"), projective(outer, "3")):
+            with pytest.raises(ValueError):
+                tor1_right(nright, s)
+
+
+# -- dimension counts against the routes that build maps ---------------------------
+
+def tor1_reference(nright, s):
+    """dim ker(N (x) Omega -> N (x) P0), from the matrix of the tensored inclusion."""
+    pres = min_presentation(s)
+    if pres.syzygy.is_zero():
+        return 0
+    dsrc, _, mat = tensor_map(nright, pres.inclusion)
+    return dsrc - rank(mat)
+
+
+def is_split_reference(ses):
+    """Whether the projection has a section, solved for in a Hom basis of maps."""
+    cands = hom_basis(ses.right, ses.middle)
+    if not cands:
+        return ses.right.is_zero()
+    rows = [flatten_morphism(ses.project.compose(f)) for f in cands]
+    want = flatten_morphism(identity_morphism(ses.right))
+    return solve(Mat.from_rows(rows).transpose(), Mat.column(want)) is not None
+
+
+@pytest.fixture(scope="module")
+def directed_rosters(inner, outer, product_algebra, mutated_algebra, glued):
+    return [enumerate_roster(alg).modules
+            for alg in (inner, outer, product_algebra, mutated_algebra, glued)]
+
+
+def test_ext1_dim_counts_the_cocycle_space(directed_rosters):
+    # the non-directed lists have radical maps and self-extensions, which thin modules lack
+    from test_rep import _cyclic_nakayama, _truncated_polynomials
+    wrong = [(m.dim_vector(), n.dim_vector())
+             for mods in directed_rosters + [_truncated_polynomials(), _cyclic_nakayama()]
+             for m in mods for n in mods if ext1_dim(m, n) != ext1(m, n).dimension]
+    assert not wrong, wrong[:3]
+
+
+def test_is_split_agrees_with_the_section_solve(directed_rosters):
+    # each unit class of Ext^1(M, N) realizes a non-split sequence, the zero class a split
+    # one; the Nakayama list has sums C with Hom(C, B) -> End(C) nonzero but not onto
+    from test_rep import _cyclic_nakayama
+    checks = 0
+    for mods in directed_rosters + [_cyclic_nakayama()]:
+        for e in (ext1(m, n) for m in mods for n in mods):
+            units = [[int(i == k) for i in range(e.dimension)] for k in range(e.dimension)]
+            for coeffs in units + [[0] * e.dimension]:
+                ses = realize_extension(e, coeffs)
+                assert is_split(ses) == is_split_reference(ses) == (not any(coeffs))
+                checks += 1
+    assert checks == 521 + 53
+
+
+def test_tor1_agrees_with_the_tensored_inclusion(glued, product_algebra, mutated_algebra):
+    checks = 0
+    for alg in [glued, product_algebra, mutated_algebra]:
+        ctx = split_context(alg, ["3", "4", "5"])
+        for nright in [bimodule_right(ctx), quotient_right_module(ctx)]:
+            left = nright.algebra.opposite()
+            mods = [simple(left, v) for v in left.vertices] + enumerate_roster(left).modules
+            for s in mods:
+                assert tor1_right(nright, s) == tor1_reference(nright, s), s.dim_vector()
+                checks += 1
+    assert checks == 74
+
+
+def test_ext1_dim_tor1_and_is_split_build_no_maps(glued, counting):
+    ctx = split_context(glued, ["3", "4", "5"])
+    nright, out = bimodule_right(ctx), ctx.outer_algebra
+    mods = enumerate_roster(glued).modules
+    spaces = [e for e in (ext1(m, n) for m in mods for n in mods) if e.dimension]
+    seqs = [realize_extension(e, [1] * e.dimension) for e in spaces]
+    seen = [counting(homology_module, name)
+            for name in ("hom_basis", "_precomposition", "tensor_dim_data")]
+    for m in mods:
+        fresh = Representation(glued, m.dims, m.maps)
+        for n in mods:
+            ext1_dim(fresh, n)
+    for v in out.vertices:
+        tor1_right(nright, simple(out, v))
+    assert all(not is_split(ses) for ses in seqs)
+    assert seen == [[], [], []]
+    # the counters see the routes that do build maps
+    m = spaces[0].source
+    ext1(Representation(glued, m.dims, m.maps), spaces[0].coefficient)
+    tensor_dim(nright, simple(out, "3"))
+    assert all(seen)
+
+
+@pytest.mark.parametrize("family, size", [("linear", (4, 802)), ("seeded", (23, 3186))])
+def test_ext1_dim_is_the_ar_formula_on_hereditary_algebras(family, size):
+    # Ext^1(M, N) = D Hom(N, tau M) over a hereditary algebra (Auslander-Reiten-Smalo, ch. IV)
+    if family == "linear":
+        algebras = [build_algebra(Quiver([str(v) for v in range(1, n + 1)],
+                                         [(f"x{v}", str(v), str(v + 1)) for v in range(1, n)]), [])
+                    for n in range(3, 7)]
+    else:
+        algebras = [alg for alg in map(seeded_type_a, range(40)) if not alg.relations]
+    pairs = 0
+    for alg in algebras:
+        mods = enumerate_roster(alg).modules
+        taus = [tau(m) for m in mods]
+        for m, tm in zip(mods, taus):
+            for n in mods:
+                assert ext1_dim(m, n) == hom_dim(n, tm), (m.dim_vector(), n.dim_vector())
+                pairs += 1
+    assert (len(algebras), pairs) == size
 
 
 # -- transpose and translates ----------------------------------------------------

@@ -177,6 +177,18 @@ def test_exactness_on_worked_example(ctx):
     assert report.functor_exact("i!") and report.functor_exact("j_*")
 
 
+def test_functor_exact_computes_only_the_named_family(ctx, counting):
+    simples = counting(recollement_module, "tor1_right", 1)
+    report = check_exactness(ctx)
+    assert report.functor_exact("j_!")
+    # j_! reads Tor_1 on the three outer simples only, never i*'s five
+    assert [s.algebra for s in simples] == [ctx.outer_algebra] * 3
+    assert report.functor_exact("i!") and len(simples) == 3
+    assert not report.functor_exact("i*") and len(simples) == 8
+    with pytest.raises(ValueError, match=r"unknown functor 'k!'; expected one of \('i\*'"):
+        report.functor_exact("k!")
+
+
 def test_exactness_on_product(product_ctx):
     report = check_exactness(product_ctx)
     assert report.j_shriek_exact
