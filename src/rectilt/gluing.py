@@ -422,7 +422,7 @@ def _restrict(ctx: RecollementContext, t: Representation, roster: Roster | None,
     if left:
         exact = check_exactness(ctx)
         hyp = {"i_upper_star_exact": exact.i_upper_star_exact,
-               "tor1_on_simples": exact.i_upper_star_tor}
+               "tor1_on_simples": dict(exact.i_upper_star_tor)}
         if not exact.i_upper_star_exact:
             # no roster of the part is built for a verdict that reads none
             summands = summand_classes([image])

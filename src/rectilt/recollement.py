@@ -23,6 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from types import MappingProxyType
+from typing import ClassVar
 
 from .algebra import BoundQuiverAlgebra, Quiver, build_algebra
 from .errors import NotTriangular, RectiltError
@@ -41,13 +43,19 @@ from .rep import (
 
 @dataclass(eq=False)
 class RecollementContext:
-    """A triangular split; it compares and hashes by identity, so it can key held data."""
+    """A triangular split; it compares and hashes by identity, so it can key held data.
+
+    It holds its own ``ExactnessReport`` (``check_exactness``), which
+    depends on the split alone.  Data that also depends on a roster is
+    held on that roster (``gluing._images``).
+    """
     algebra: BoundQuiverAlgebra
     inner_vertices: tuple
     outer_vertices: tuple
     inner_algebra: BoundQuiverAlgebra
     outer_algebra: BoundQuiverAlgebra
     crossing_paths: list            # basis indices of V'' -> V' path classes
+    _exactness: ExactnessReport | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self._inner_set = set(self.inner_vertices)
@@ -308,27 +316,31 @@ class ExactnessReport:
     """Tor_1 certificates of a split's exactness, one family per functor.
 
     Each family is computed from ``ctx`` the first time it is read, so a
-    caller that reads one family never builds the other.
+    caller that reads one family never builds the other.  The families are
+    then held on the report, and ``check_exactness`` holds the report on
+    ``ctx``.  So no result handed out may write into it: ``structural``
+    and the two families are read-only views, and ``to_json`` returns
+    plain copies.
     """
     ctx: RecollementContext
-    structural: dict = field(init=False, default_factory=lambda: {
-        "i_*": True, "i!": True, "j*": True, "j_*": True})
+    structural: ClassVar[MappingProxyType] = MappingProxyType(
+        {"i_*": True, "i!": True, "j*": True, "j_*": True})
 
     @cached_property
-    def j_shriek_tor(self) -> dict:
+    def j_shriek_tor(self) -> MappingProxyType:
         """Tor_1(N, S) for each outer simple S."""
         ctx = self.ctx
         nright = bimodule_right(ctx)
-        return {w: tor1_right(nright, simple(ctx.outer_algebra, w))
-                for w in ctx.outer_vertices}
+        return MappingProxyType({w: tor1_right(nright, simple(ctx.outer_algebra, w))
+                                 for w in ctx.outer_vertices})
 
     @cached_property
-    def i_upper_star_tor(self) -> dict:
+    def i_upper_star_tor(self) -> MappingProxyType:
         """Tor_1 of the inner algebra, as a right whole-algebra module, with each simple."""
         ctx = self.ctx
         qright = quotient_right_module(ctx)
-        return {v: tor1_right(qright, simple(ctx.algebra, v))
-                for v in ctx.algebra.vertices}
+        return MappingProxyType({v: tor1_right(qright, simple(ctx.algebra, v))
+                                 for v in ctx.algebra.vertices})
 
     @property
     def j_shriek_exact(self) -> bool:
@@ -350,9 +362,9 @@ class ExactnessReport:
 
     def to_json(self):
         return {
-            "structural": self.structural,
-            "j_shriek_tor1_on_simples": self.j_shriek_tor,
-            "i_upper_star_tor1_on_simples": self.i_upper_star_tor,
+            "structural": dict(self.structural),
+            "j_shriek_tor1_on_simples": dict(self.j_shriek_tor),
+            "i_upper_star_tor1_on_simples": dict(self.i_upper_star_tor),
             "exact": {name: self.functor_exact(name) for name in FUNCTOR_NAMES},
         }
 
@@ -360,13 +372,16 @@ class ExactnessReport:
 def check_exactness(ctx: RecollementContext) -> ExactnessReport:
     """Tor_1 certificates against all simples; restrictions are exact as built.
 
-    The report is lazy: each Tor_1 family is computed when it is first
-    read (``j_shriek_tor`` on the outer simples, ``i_upper_star_tor`` on
-    the whole algebra's) and then held on the report.  Nothing holds the
-    report: each call returns a fresh one, and a glue or a restriction
-    reads only the family it needs from it.
+    The report depends on the split alone, so it is held on ``ctx``: every
+    call on one split returns the same report.  It is lazy: each Tor_1
+    family is computed when it is first read (``j_shriek_tor`` on the
+    outer simples, ``i_upper_star_tor`` on the whole algebra's) and then
+    held on the report, so a glue or a restriction computes only the
+    family it reads, once per split.
     """
-    return ExactnessReport(ctx)
+    if ctx._exactness is None:
+        ctx._exactness = ExactnessReport(ctx)
+    return ctx._exactness
 
 
 def verify_recollement_identities(ctx: RecollementContext, lambda_samples,

@@ -21,7 +21,13 @@ from rectilt.gluing import (
 )
 from rectilt.homology import enumerate_roster, ext1, ext1_dim, proj_dim
 from rectilt.linalg import Mat, solve
-from rectilt.recollement import i_upper_star, j_shriek, split_context
+from rectilt.recollement import (
+    ExactnessReport,
+    check_exactness,
+    i_upper_star,
+    j_shriek,
+    split_context,
+)
 from rectilt.rep import (
     _add_pieces,
     _linear_combination,
@@ -692,20 +698,86 @@ def test_spec_rejects_a_module_over_the_wrong_algebra(slots, wrong, ctx, countin
     assert seen == []
 
 
-def test_glue_computes_tor_only_on_the_outer_simples(ctx, roster, counting):
+# each of these splits is fresh: the module's ctx holds a report some other test has read
+
+def test_glue_computes_tor_only_on_the_outer_simples(glued, roster, counting):
+    ctx = split_context(glued, ["3", "4", "5"])
     simples = counting(recollement, "tor1_right", 1)
     glue_tilting(GluedPairSpec(ctx, t_inner(ctx), t_outer_case1(ctx)), roster)
     assert all(s.algebra is ctx.outer_algebra for s in simples)
     assert [s.dim_vector() for s in simples] == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
 
 
-def test_restrict_left_computes_tor_only_on_the_whole_simples(ctx, roster, glued, counting):
+def test_restrict_left_computes_tor_only_on_the_whole_simples(roster, glued, counting):
+    ctx = split_context(glued, ["3", "4", "5"])
     simples = counting(recollement, "tor1_right", 1)
     res = restrict_left(ctx, t_case4(roster, glued), roster)
     assert all(s.algebra is glued for s in simples)
     assert [s.dim_vector() for s in simples] == [
         tuple(int(w == v) for w in glued.vertices) for v in glued.vertices]
     assert res.hypotheses["tor1_on_simples"]["3"] == 1
+
+
+def test_exactness_is_computed_once_per_split(glued, roster, mutated_algebra, counting):
+    ctx = split_context(glued, ["3", "4", "5"])
+    assert check_exactness(ctx) is check_exactness(ctx)
+    simples = counting(recollement, "tor1_right", 1)
+    for outer in (t_outer_case1(ctx), t_outer_case2(ctx)):
+        glue_tilting(GluedPairSpec(ctx, t_inner(ctx), outer), roster)
+    restrict_left(ctx, t_case4(roster, glued), roster)
+    # the three outer simples for j_!, the five simples of the whole algebra for i^*
+    assert len(simples) == 3 + 5
+    bad = split_context(mutated_algebra, ["3", "4", "5"])
+    spec = GluedPairSpec(bad, regular_module(bad.inner_algebra), regular_module(bad.outer_algebra))
+    failures = []
+    for _ in range(2):
+        with pytest.raises(HypothesisFailed) as err:
+            glue_tilting(spec)
+        failures.append((err.value.culprit, err.value.detail, len(simples)))
+    culprit, _, calls = failures[0]
+    # the mutated split reads its three outer simples once, on the first glue
+    assert culprit == "j_!" and calls == 8 + 3 and failures[1] == failures[0]
+
+
+def test_held_exactness_report_cannot_be_written_through_its_results(roster, glued):
+    ctx = split_context(glued, ["3", "4", "5"])
+    report = check_exactness(ctx)
+    before = report.to_json()
+    for part in before.values():
+        part.update({k: 7 for k in part})
+    res = restrict_left(ctx, t_case4(roster, glued), roster)
+    res.hypotheses["tor1_on_simples"]["3"] = 0
+    res.to_json()["hypotheses"]["tor1_on_simples"]["1"] = 7
+    for name in ("structural", "j_shriek_tor", "i_upper_star_tor"):
+        with pytest.raises(TypeError):
+            getattr(report, name)["3"] = 7
+    fresh = ExactnessReport(ctx).to_json()
+    assert check_exactness(ctx).to_json() == fresh
+    assert fresh["i_upper_star_tor1_on_simples"] == {"1": 0, "2": 0, "3": 1, "4": 1, "5": 0}
+    again = restrict_left(ctx, t_case4(roster, glued), roster)
+    assert again.hypotheses["tor1_on_simples"] == fresh["i_upper_star_tor1_on_simples"]
+
+
+@pytest.mark.parametrize("split", ["worked", "product", "mutated", "ladder"])
+def test_held_exactness_report_equals_a_fresh_one(split, glued, product_algebra,
+                                                  mutated_algebra):
+    if split == "ladder":
+        alg, outer = commutative_ladder(2)
+    else:
+        alg = {"worked": glued, "product": product_algebra, "mutated": mutated_algebra}[split]
+        outer = ["3", "4", "5"]
+    ctx = split_context(alg, outer)
+    # the held report is first read by the verdicts, as the benchmark reads it
+    spec = GluedPairSpec(ctx, regular_module(ctx.inner_algebra),
+                         regular_module(ctx.outer_algebra))
+    if split == "mutated":
+        with pytest.raises(HypothesisFailed) as err:
+            glue_tilting(spec)
+        assert err.value.culprit == "j_!"
+    else:
+        assert glue_tilting(spec).passed
+    restrict_left(ctx, regular_module(alg))
+    assert check_exactness(ctx).to_json() == ExactnessReport(ctx).to_json()
 
 
 def test_universal_ext_failure_names_its_dimension(ctx, roster, monkeypatch):

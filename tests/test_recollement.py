@@ -177,7 +177,8 @@ def test_exactness_on_worked_example(ctx):
     assert report.functor_exact("i!") and report.functor_exact("j_*")
 
 
-def test_functor_exact_computes_only_the_named_family(ctx, counting):
+def test_functor_exact_computes_only_the_named_family(glued, counting):
+    ctx = split_context(glued, ["3", "4", "5"])     # fresh: no family read yet
     simples = counting(recollement_module, "tor1_right", 1)
     report = check_exactness(ctx)
     assert report.functor_exact("j_!")
